@@ -143,14 +143,15 @@ def bench_factors(shape: tuple[int, ...], rank: int,
 
     ``dtype`` applies the compute-dtype policy (:mod:`repro.util.dtypes`);
     the float32 factors are the float64 draws cast down, so both dtypes
-    measure the same problem.
+    measure the same problem.  The factors are F-contiguous, the kernels'
+    rank-major layout, so a cell times the kernel and not a layout copy.
     """
+    from repro.kernels.csf_mttkrp import rank_major
     from repro.util.dtypes import resolve_dtype
 
     rng = default_rng(_FACTOR_SEED)
-    resolved = resolve_dtype(dtype)
-    return [rng.standard_normal((s, rank)).astype(resolved, copy=False)
-            for s in shape]
+    return rank_major([rng.standard_normal((s, rank)) for s in shape],
+                      resolve_dtype(dtype))
 
 
 # --------------------------------------------------------------------- #

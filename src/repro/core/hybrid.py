@@ -21,6 +21,7 @@ from repro.core.bcsf import BcsfTensor, build_bcsf
 from repro.core.csl import CslGroup, build_csl_group, empty_csl_group
 from repro.core.splitting import SplitConfig
 from repro.kernels.coo_mttkrp import coo_mttkrp
+from repro.kernels.csf_mttkrp import rank_major
 from repro.tensor.coo import CooTensor, INDEX_DTYPE
 from repro.tensor.csf import CsfTensor, build_csf
 from repro.tensor.dense import _check_factors
@@ -124,7 +125,9 @@ class HbcsfTensor:
         The factor shapes are checked once here; the three group kernels
         run with ``validate=False`` — their structures were validated at
         build time and re-scanning the pointers on every call would undo
-        the fast path.  ``validate=False`` skips the shape check too.
+        the fast path.  ``validate=False`` skips the shape check too.  The
+        factors are converted to the kernels' rank-major layout once here,
+        not once per group.
         """
         if validate:
             rank = _check_factors(self.shape, factors, self.root_mode)
@@ -132,9 +135,10 @@ class HbcsfTensor:
             rank = factors[self.root_mode].shape[1]
         rows = self.shape[self.root_mode]
         if out is None:
-            out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
+            out = np.zeros((rows, rank), dtype=resolve_dtype(dtype), order="F")
         elif out.shape != (rows, rank):
             raise DimensionError(f"out has shape {out.shape}, expected {(rows, rank)}")
+        factors = rank_major(factors, out.dtype, skip=self.root_mode)
         if self.coo_group.nnz:
             coo_mttkrp(self.coo_group, factors, self.root_mode, out=out,
                        validate=False)

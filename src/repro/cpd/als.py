@@ -20,7 +20,9 @@ at solve start and reused every sweep (kernels accumulate into ``out=``),
 per-factor Gram matrices are cached and only the updated factor's Gram is
 recomputed, and the kernels run with ``validate=False`` — the factor shapes
 are fixed by the solver itself, so re-checking them (and re-scanning CSF
-pointers) every inner step would be pure overhead.
+pointers) every inner step would be pure overhead.  Factors and workspaces
+stay F-contiguous, the rank-major layout the kernels read and write
+(:func:`repro.kernels.csf_mttkrp.rank_major`), so no sweep copies a factor.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.faults.deadline import (
 )
 from repro.faults.hooks import fault_point
 from repro.formats.plan_cache import tensor_fingerprint
+from repro.kernels.csf_mttkrp import rank_major
 from repro.telemetry import counter_add, span
 from repro.tensor.coo import CooTensor
 from repro.util.dtypes import resolve_dtype
@@ -186,7 +189,7 @@ def cp_als(
     if isinstance(init, str):
         factors = init_factors(tensor, rank, init, rng)
     else:
-        factors = [np.array(f, dtype=np.float64, copy=True) for f in init]
+        factors = [np.array(f, dtype=np.float64, order="F") for f in init]
         if len(factors) != tensor.order:
             raise ValidationError("need one initial factor per mode")
         for m, f in enumerate(factors):
@@ -195,8 +198,7 @@ def cp_als(
                     f"initial factor {m} has shape {f.shape}, expected "
                     f"{(tensor.shape[m], rank)}"
                 )
-    factors = [np.asarray(f).astype(compute_dtype, copy=False)
-               for f in factors]
+    factors = rank_major(factors, compute_dtype)
 
     plan = MttkrpPlan(tensor, format=format, config=config,
                       dtype=dtype, rank=rank, backend=backend,
@@ -223,8 +225,7 @@ def cp_als(
         }
         state = load_checkpoint(checkpoint, expect_meta=ckpt_meta)
         if state is not None:
-            factors = [np.asarray(f, dtype=compute_dtype)
-                       for f in state["factors"]]
+            factors = rank_major(state["factors"], compute_dtype)
             weights = np.asarray(state["weights"], dtype=np.float64)
             fits = list(state["fits"])
             start_iter = state["iteration"]
@@ -244,7 +245,7 @@ def cp_als(
     # never touches (empty slices) stay free — measured faster beyond the
     # threshold.
     workspaces = [
-        np.empty((tensor.shape[m], rank), dtype=compute_dtype)
+        np.empty((tensor.shape[m], rank), dtype=compute_dtype, order="F")
         if tensor.shape[m] * rank * compute_dtype.itemsize
         <= _WORKSPACE_MAX_BYTES else None
         for m in range(order)
@@ -290,7 +291,10 @@ def cp_als(
                                 for other in range(order):
                                     if other != mode:
                                         v_buf *= grams[other]
-                                new_factor = m_mat @ np.linalg.pinv(v_buf)
+                                # (M P)ᵀ = Pᵀ Mᵀ on the (R, I) views: the
+                                # product comes out F-contiguous, like M
+                                new_factor = (np.linalg.pinv(v_buf).T
+                                              @ m_mat.T).T
 
                                 # normalise columns into the weights
                                 if iteration == 0:

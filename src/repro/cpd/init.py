@@ -17,7 +17,8 @@ def init_factors(
     method: str = "random",
     rng: np.random.Generator | int | None = None,
 ) -> list[np.ndarray]:
-    """Initial factor matrices for CPD-ALS.
+    """Initial factor matrices for CPD-ALS, F-contiguous (the MTTKRP
+    kernels' rank-major layout; the values do not depend on the layout).
 
     Parameters
     ----------
@@ -37,7 +38,9 @@ def init_factors(
     rng = default_rng(rng)
     method = method.lower()
     if method == "random":
-        return [rng.random((s, rank)) for s in tensor.shape]
+        return [np.asfortranarray(rng.random((s, rank)))
+                for s in tensor.shape]
     if method == "randn":
-        return [rng.standard_normal((s, rank)) for s in tensor.shape]
+        return [np.asfortranarray(rng.standard_normal((s, rank)))
+                for s in tensor.shape]
     raise ValidationError(f"unknown init method {method!r}; use 'random' or 'randn'")

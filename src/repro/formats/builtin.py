@@ -91,7 +91,7 @@ def _coo_builder(tensor, mode, config):
     # float64 interchange format, so this builder deliberately takes no
     # dtype parameter: the representation is dtype-independent (one plan
     # cache entry serves every compute dtype) and the kernel applies the
-    # dtype policy per call (values cast on the fly; the (nnz, R)
+    # dtype policy per call (values cast on the fly; the (R, nnz)
     # accumulator — the dominant traffic — is computed in the compute
     # dtype either way).  A sharded input is materialised: the COO kernel
     # walks raw index columns, so the representation is the arrays.
@@ -291,7 +291,8 @@ def _csl_builder(tensor, mode, config, dtype=None):
 def _csl_kernel(rep, factors, mode, out, validate=True, dtype=None):
     if out is None:
         rank = factors[mode].shape[1]
-        out = np.zeros((rep.shape[mode], rank), dtype=resolve_dtype(dtype))
+        out = np.zeros((rep.shape[mode], rank), dtype=resolve_dtype(dtype),
+                       order="F")
     return rep.mttkrp(factors, out, validate=validate)
 
 

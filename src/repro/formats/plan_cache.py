@@ -112,7 +112,9 @@ def tensor_fingerprint(tensor) -> str:
         arr = np.ascontiguousarray(arr)
         h.update(arr.dtype.str.encode())
         h.update(repr(arr.shape).encode())
-        h.update(arr.tobytes())
+        # hash the C-contiguous buffer in place (``tobytes()`` would copy
+        # the whole index array first); the digest is byte-for-byte the same
+        h.update(memoryview(arr))
     digest = h.hexdigest()
     with _FINGERPRINT_LOCK:
         if key not in _FINGERPRINTS:

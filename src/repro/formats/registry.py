@@ -42,9 +42,10 @@ from repro.formats.plan_cache import (
     plan_cache,
     tensor_fingerprint,
 )
+from repro.kernels.csf_mttkrp import rank_major
 from repro.parallel.pool import resolve_backend, resolve_workers
 from repro.telemetry import stage
-from repro.util.dtypes import dtype_token
+from repro.util.dtypes import dtype_token, resolve_dtype
 from repro.util.errors import ValidationError
 
 __all__ = [
@@ -217,6 +218,12 @@ class FormatSpec:
                 extras["validate"] = False
             if dtype is not None and "dtype" in supported:
                 extras["dtype"] = dtype
+            # One layout conversion per dispatch, in the kernel's compute
+            # dtype when that is known: every group, slab and kernel below
+            # then reads the factors without copying them.
+            compute = (out.dtype if out is not None else resolve_dtype(dtype)
+                       if "dtype" in supported else None)
+            factors = rank_major(factors, compute, skip=mode)
             return self.cpu_kernel(rep, factors, mode, out, **extras)
 
     def storage_words(self, rep) -> int:

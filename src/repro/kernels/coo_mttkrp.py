@@ -10,10 +10,12 @@ Three accumulation strategies are available:
 * ``"add_at"`` — ``np.add.at`` scatter-accumulate, the vectorized
   equivalent of the atomic adds the GPU COO kernels (ParTI) issue.  Its
   random-access write pattern is cache-hostile on large tensors.
-* ``"sort"`` — sorted segment-sum: stable-argsort the target-mode indices,
-  reduce each run of equal indices with one ``np.add.reduceat`` over all
-  ``R`` columns at once, and scatter the per-row totals.  One radix sort
-  plus sequential reductions; the fastest path once nnz is large.
+* ``"sort"`` — sorted segment-sum: stable-argsort the target-mode indices
+  first, gather the factor rows through the permuted index columns, reduce
+  each run of equal indices with one ``np.add.reduceat`` over all ``R``
+  rows at once, and add each run's total into its (unique) output row.
+  One radix sort plus sequential reductions; the fastest path once nnz is
+  large.
 * ``"bincount"`` — one sort-free ``np.bincount(weights=...)`` pass per
   factor column.  Kept as an alternative dense-output path (it can win when
   ``R`` is very small); measured slower than ``"sort"`` at the paper's
@@ -26,10 +28,11 @@ the scatter path for tiny ones, where sort overhead dominates.  All paths
 produce the same sums up to float addition order (they agree to allclose
 tolerance; per-row partial sums are reassociated).
 
-The Hadamard accumulator is formed by scaling the *first* gathered factor
-by the values directly — no ``(nnz, R)`` all-ones matrix is materialised —
-and is computed in the requested compute dtype (``float32`` halves the
-memory traffic of this bandwidth-bound kernel; see
+The Hadamard accumulator is a rank-major ``(R, nnz)`` array (the layout
+of every kernel, see :mod:`repro.kernels.csf_mttkrp`) formed by scaling the
+*first* gathered factor by the values in place — no all-ones matrix is
+materialised — and is computed in the requested compute dtype (``float32``
+halves the memory traffic of this bandwidth-bound kernel; see
 :mod:`repro.util.dtypes`).
 """
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.csf_mttkrp import rank_major
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
@@ -59,22 +63,20 @@ SORT_MIN_NNZ = 2048
 
 
 def _accumulate_add_at(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    np.add.at(out, idx, acc)
+    np.add.at(out, idx, acc.T)
 
 
 def _accumulate_sort(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    sorted_acc = acc[order]
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(sorted_idx)) + 1))
-    out[sorted_idx[starts]] += np.add.reduceat(sorted_acc, starts, axis=0)
+    # ``idx`` and ``acc`` arrive permuted into stable target-index order
+    # (see :func:`coo_mttkrp`), so each run of equal indices is one
+    # contiguous segment and its head is a unique output row.
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
+    out.T[:, idx[starts]] += np.add.reduceat(acc, starts, axis=1)
 
 
 def _accumulate_bincount(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    rows = out.shape[0]
-    for r in range(acc.shape[1]):
-        out[:, r] += np.bincount(idx, weights=acc[:, r], minlength=rows)
+    for r in range(acc.shape[0]):
+        out[:, r] += np.bincount(idx, weights=acc[r], minlength=out.shape[0])
 
 
 _ACCUMULATORS = {
@@ -133,7 +135,7 @@ def coo_mttkrp(
         rank = factors[mode].shape[1]
     rows = tensor.shape[mode]
     if out is None:
-        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
+        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype), order="F")
     elif out.shape != (rows, rank):
         raise DimensionError(
             f"out has shape {out.shape}, expected {(rows, rank)}"
@@ -142,25 +144,33 @@ def coo_mttkrp(
     if tensor.nnz == 0:
         return out
 
-    compute_dtype = out.dtype
-    values = tensor.values.astype(compute_dtype, copy=False)
+    if method == "auto":
+        method = "sort" if tensor.nnz >= SORT_MIN_NNZ else "add_at"
+    factors = rank_major(factors, out.dtype, skip=mode)
+    idx = tensor.indices[:, mode]
+    perm = slice(None)
+    if method == "sort":
+        # Sort first, then gather through the permuted index columns: the
+        # per-element products are the same as permuting a finished
+        # accumulator, and no unsorted (R, nnz) array is ever live.
+        perm = np.argsort(idx, kind="stable")
+        idx = idx[perm]
+    values = tensor.values[perm].astype(out.dtype, copy=False)
     acc = None
     for m in range(tensor.order):
         if m == mode:
             continue
-        gathered = np.asarray(factors[m], dtype=compute_dtype)[tensor.indices[:, m]]
+        gathered = np.take(factors[m].T, tensor.indices[perm, m], axis=1)
         if acc is None:
-            # Scaling the first gathered factor by the values replaces the
-            # old ``values[:, None] * ones((1, R))`` materialisation; the
-            # multiplication order per element is unchanged, so the result
-            # is bit-identical.
-            acc = values[:, None] * gathered
+            # Scale the first (R, nnz) gather by the values in place: no
+            # all-ones matrix is materialised and the multiplication order
+            # per element is unchanged.
+            gathered *= values
+            acc = gathered
         else:
             acc *= gathered
     if acc is None:  # order-1 tensor: no non-target factors to gather
-        acc = np.repeat(values[:, None], rank, axis=1)
+        acc = np.repeat(values[None, :], rank, axis=0)
 
-    if method == "auto":
-        method = "sort" if tensor.nnz >= SORT_MIN_NNZ else "add_at"
-    _ACCUMULATORS[method](out, tensor.indices[:, mode], acc)
+    _ACCUMULATORS[method](out, idx, acc)
     return out

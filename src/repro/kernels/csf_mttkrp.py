@@ -10,6 +10,17 @@ the target mode it is exactly Equation (8) / Algorithm 3:
 
 Factoring the reductions this way is what saves the ``R (J - 1)``
 multiplications per fiber relative to COO (Section II-C).
+
+Kernel layout (shared by every kernel in :mod:`repro.kernels`): the
+per-nonzero scratch is a C-contiguous ``(R, n)`` array.  Factor rows are
+gathered with ``np.take(F.T, idx, axis=1)`` from the ``(R, I)`` view of an
+F-contiguous ``(I, R)`` factor (see :func:`rank_major`), segments are
+reduced along the last axis, and each reduced row is written into the
+output once, with a plain indexed add wherever the target rows are unique.
+The ``(R, n)`` layout gives ``np.add.reduceat`` contiguous segments, and
+reduceat associates a segment's sum the same way along either axis, so the
+output bits do not depend on the layout (``tests/kernels/golden_mttkrp.json``
+pins them).
 """
 
 from __future__ import annotations
@@ -23,13 +34,14 @@ from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, TensorFormatError
 
-__all__ = ["csf_mttkrp", "segment_sum", "DEFAULT_SLAB_ELEMS", "slab_nnz_for"]
+__all__ = ["csf_mttkrp", "segment_sum", "rank_major", "DEFAULT_SLAB_ELEMS",
+           "slab_nnz_for"]
 
-#: soft cap on the elements of the ``(nnz, R)`` scratch the tree reduction
-#: materialises per slab (2^22 float64 elements = 32 MB).  Tensors whose
-#: nonzero count fits one slab take the exact historical single-pass path;
-#: larger tensors are evaluated in root-aligned slabs so peak scratch stays
-#: bounded no matter how far the out-of-core ladder scales nnz.
+#: soft cap on the elements of the ``(R, nnz)`` scratch the CSF and CSL
+#: kernels materialise per slab (2^22 float64 elements = 32 MB).  Tensors
+#: are evaluated in root-aligned slabs (one slab when the nonzeros fit) so
+#: peak scratch stays bounded no matter how far the out-of-core ladder
+#: scales nnz.
 DEFAULT_SLAB_ELEMS = 1 << 22
 
 
@@ -43,9 +55,23 @@ def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
     return max(1, DEFAULT_SLAB_ELEMS // max(rank, 1))
 
 
+def rank_major(factors: list[np.ndarray], dtype=None,
+               skip: int | None = None) -> list[np.ndarray]:
+    """``factors`` as F-contiguous ``(I, R)`` arrays (in ``dtype`` if given).
+
+    ``f.T`` of each result is the C-contiguous ``(R, I)`` view the kernels
+    gather from.  Factors already in that layout and dtype pass through
+    without a copy, so converting once per dispatch makes every kernel,
+    HB-CSF group, shard and slab below it copy-free.  ``factors[skip]``
+    (the target mode, which no kernel reads) is passed through untouched.
+    """
+    return [f if m == skip else np.asfortranarray(f, dtype=dtype)
+            for m, f in enumerate(factors)]
+
+
 def segment_sum(data: np.ndarray, ptr: np.ndarray,
                 validate: bool = True) -> np.ndarray:
-    """Sum ``data`` rows over segments ``[ptr[n], ptr[n+1])``.
+    """Sum ``data`` along its last axis over segments ``[ptr[n], ptr[n+1])``.
 
     CSF guarantees no empty internal nodes, so every segment is non-empty,
     which lets us use ``np.add.reduceat`` directly.
@@ -58,18 +84,15 @@ def segment_sum(data: np.ndarray, ptr: np.ndarray,
     if validate:
         if ptr.shape[0] == 0:
             raise TensorFormatError("pointer array must have at least one entry")
-        n_seg = ptr.shape[0] - 1
-        if n_seg == 0:
-            return np.zeros((0,) + data.shape[1:], dtype=data.dtype)
-        if data.shape[0] != int(ptr[-1]):
+        if data.shape[-1] != int(ptr[-1]):
             raise TensorFormatError(
-                f"pointer array covers {int(ptr[-1])} rows but data has {data.shape[0]}"
+                f"pointer array covers {int(ptr[-1])} entries but data has {data.shape[-1]}"
             )
         if np.any(np.diff(ptr) <= 0):
             raise TensorFormatError("segment_sum requires non-empty, monotone segments")
-    elif ptr.shape[0] == 1:
-        return np.zeros((0,) + data.shape[1:], dtype=data.dtype)
-    return np.add.reduceat(data, ptr[:-1], axis=0)
+    if ptr.shape[0] == 1:
+        return np.zeros(data.shape[:-1] + (0,), dtype=data.dtype)
+    return np.add.reduceat(data, ptr[:-1], axis=-1)
 
 
 def csf_mttkrp(
@@ -123,26 +146,17 @@ def csf_mttkrp(
         rank = factors[mode].shape[1]
     rows = csf.shape[mode]
     if out is None:
-        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
+        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype), order="F")
     elif out.shape != (rows, rank):
         raise DimensionError(f"out has shape {out.shape}, expected {(rows, rank)}")
     if csf.nnz == 0:
         return out
 
-    order = csf.order
     compute_dtype = out.dtype
-    factors = [np.asarray(f, dtype=compute_dtype) for f in factors]
+    factors = rank_major(factors, compute_dtype, skip=mode)
     values = csf.values.astype(compute_dtype, copy=False)
 
     slab = slab_nnz_for(rank, slab_nnz)
-    if csf.nnz <= slab:
-        # single-slab tensor: one cooperative boundary before the pass
-        fault_point("kernel.slab")
-        check_deadline("kernel.slab")
-        _tree_reduce(values, csf.fids, csf.fptr, csf.mode_order, factors,
-                     out, validate)
-        return out
-
     # Leaf offset of every root-entry boundary: chain the pointer levels.
     off = csf.fptr[0]
     for ptr in csf.fptr[1:]:
@@ -179,22 +193,25 @@ def _tree_reduce(values: np.ndarray, fids: list, fptr: list,
                  out: np.ndarray, validate: bool) -> None:
     """Bottom-up CSF tree reduction over one (slab of a) tensor,
     accumulated into ``out``.  ``fptr`` entries must be rebased to start
-    at 0 and ``values``/``fids`` sliced consistently."""
+    at 0 and ``values``/``fids`` sliced consistently; ``factors`` are
+    F-contiguous (:func:`rank_major`)."""
     order = len(mode_order)
-    # Leaf level: val * A_leafmode[leaf index, :].  The gather is a fresh
-    # copy, so scaling it in place keeps one (nnz, R) array live instead
-    # of two (multiplication is commutative bit-for-bit).
-    leaf_mode = mode_order[-1]
-    buf = factors[leaf_mode][fids[-1]]
-    buf *= values[:, None]
+    # Leaf level: val * A_leafmode[leaf index, :], gathered as an (R, nnz)
+    # array and scaled in place (multiplication is commutative bit-for-bit).
+    buf = np.take(factors[mode_order[-1]].T, fids[-1], axis=1)
+    buf *= values
 
     # Reduce up the tree, scaling by the factor of each internal level except
     # the root.
     for level in range(order - 2, 0, -1):
         buf = segment_sum(buf, fptr[level], validate=validate)
-        level_mode = mode_order[level]
-        buf *= factors[level_mode][fids[level]]
+        buf *= np.take(factors[mode_order[level]].T, fids[level], axis=1)
 
-    # Root level: reduce fibers (or sub-trees) into slices and scatter.
+    # Root level: reduce fibers (or sub-trees) into slices and write each
+    # slice's row once.  Roots are unique except in an order-2 tree, whose
+    # root level is the fiber level fbr-split may repeat.
     slice_vals = segment_sum(buf, fptr[0], validate=validate)
-    np.add.at(out, fids[0], slice_vals)
+    if order == 2:
+        np.add.at(out, fids[0], slice_vals.T)
+    else:
+        out.T[:, fids[0]] += slice_vals

@@ -4,7 +4,8 @@ CSL (compressed slice) stores, for slices whose fibers all hold exactly one
 nonzero, a slice pointer that addresses the nonzeros directly — the fiber
 level is skipped.  Per nonzero the kernel forms the Hadamard product of the
 non-root factor rows (like COO) but the root index is read once per slice
-and the per-slice partial sums need no atomics.
+and the per-slice partial sums need no atomics.  The scratch is rank-major
+``(R, nnz)``, as in every kernel (see :mod:`repro.kernels.csf_mttkrp`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from repro.faults.deadline import check_deadline
 from repro.faults.hooks import fault_point
-from repro.kernels.csf_mttkrp import segment_sum, slab_nnz_for
+from repro.kernels.csf_mttkrp import rank_major, segment_sum, slab_nnz_for
 from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csl_mttkrp"]
@@ -78,16 +79,9 @@ def csl_mttkrp(
     rank = out.shape[1]
     compute_dtype = out.dtype
     vals = values.astype(compute_dtype, copy=False)
-    factors = [np.asarray(f, dtype=compute_dtype) for f in factors]
+    factors = rank_major(factors, compute_dtype, skip=mode_order[0])
 
     slab = slab_nnz_for(rank, slab_nnz)
-    if nnz <= slab:
-        fault_point("kernel.slab")
-        check_deadline("kernel.slab")
-        _slice_reduce(vals, rest_indices, slice_ptr, slice_inds, factors,
-                      mode_order, rank, out, validate)
-        return out
-
     start = 0
     while start < num_slices:
         # cooperative watchdog boundary (see csf_mttkrp's slab loop)
@@ -113,18 +107,16 @@ def _slice_reduce(vals: np.ndarray, rest_indices: np.ndarray,
     be rebased to start at 0 and the arrays sliced consistently."""
     acc = None
     for col, m in enumerate(mode_order[1:]):
-        gathered = factors[m][rest_indices[:, col]]
-        # Scale the first gathered factor by the values directly instead of
-        # materialising a (nnz, R) broadcast of the values (same fix as the
-        # COO kernel).  Both multiplies run in place on the fresh gather /
-        # the accumulator, so at most two (nnz, R) arrays are ever live;
-        # elementwise multiplication is commutative bit-for-bit.
+        gathered = np.take(factors[m].T, rest_indices[:, col], axis=1)
+        # Scale the first (R, nnz) gather by the values in place and
+        # multiply the rest into it, so at most two scratch arrays are ever
+        # live; elementwise multiplication is commutative bit-for-bit.
         if acc is None:
-            gathered *= vals[:, None]
+            gathered *= vals
             acc = gathered
         else:
             acc *= gathered
     if acc is None:  # order-1 group: no non-root factors to gather
-        acc = np.repeat(vals[:, None], rank, axis=1)
-    per_slice = segment_sum(acc, slice_ptr, validate=validate)
-    np.add.at(out, slice_inds, per_slice)
+        acc = np.repeat(vals[None, :], rank, axis=0)
+    # slices are unique, so each slice's row is written once
+    out.T[:, slice_inds] += segment_sum(acc, slice_ptr, validate=validate)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.csf_mttkrp import rank_major
 from repro.parallel.partition import Shard, shard_plan_for
 from repro.parallel.pool import resolve_workers, run_tasks
 from repro.telemetry import counter_add, span, tracing_enabled
@@ -84,7 +85,7 @@ def threaded_mttkrp(
         rank = factors[mode].shape[1]
     rows = rep.shape[mode]
     if out is None:
-        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
+        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype), order="F")
     elif out.shape != (rows, rank):
         raise DimensionError(
             f"out has shape {out.shape}, expected {(rows, rank)}")
@@ -94,9 +95,9 @@ def threaded_mttkrp(
     if not plan.shards:
         return out
 
-    # cast once here so pool threads share the cast arrays instead of each
-    # shard's kernel casting its own copy
-    factors = [np.asarray(f, dtype=out.dtype) for f in factors]
+    # convert once here so pool threads share the rank-major arrays instead
+    # of each shard's kernel copying its own
+    factors = rank_major(factors, out.dtype, skip=mode)
     buckets = [(w, b) for w, b in enumerate(plan.worker_shards()) if b]
     counter_add("parallel.dispatches")
     counter_add("parallel.shards", len(plan.shards))

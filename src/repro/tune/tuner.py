@@ -28,6 +28,7 @@ import numpy as np
 from repro.formats import build_plan, format_names, get_format, tensor_fingerprint
 from repro.formats.plan_cache import config_token
 from repro.kernels.coo_mttkrp import COO_ACCUMULATE_METHODS, coo_mttkrp
+from repro.kernels.csf_mttkrp import rank_major
 from repro.parallel.pool import resolve_backend, resolve_workers
 from repro.telemetry import span, stage
 from repro.tune.cache import decision_cache
@@ -220,9 +221,10 @@ def _decision_key(tensor, mode: int, bucket: int, dtype, config,
 
 
 def _probe_factors(shape, rank: int, dtype) -> list[np.ndarray]:
+    # F-contiguous (the kernels' layout), so probes time kernels, not copies
     rng = default_rng(PROBE_SEED)
-    dtype = resolve_dtype(dtype)
-    return [rng.standard_normal((s, rank)).astype(dtype) for s in shape]
+    return rank_major([rng.standard_normal((s, rank)) for s in shape],
+                      resolve_dtype(dtype))
 
 
 def candidate_runner(candidate: Candidate, tensor, factors, mode: int,

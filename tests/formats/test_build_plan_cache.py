@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,36 @@ class TestFingerprint:
         bigger = CooTensor(small3d.indices.copy(), small3d.values.copy(),
                            tuple(s + 1 for s in small3d.shape))
         assert tensor_fingerprint(small3d) != tensor_fingerprint(bigger)
+
+    @staticmethod
+    def _tobytes_digest(tensor) -> str:
+        """The original formula, which hashed a ``tobytes()`` copy."""
+        h = hashlib.sha256()
+        h.update(repr(tuple(tensor.shape)).encode())
+        for arr in (tensor.indices, tensor.values):
+            arr = np.ascontiguousarray(arr)
+            h.update(arr.dtype.str.encode())
+            h.update(repr(arr.shape).encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("which", ["small3d", "empty"])
+    def test_digest_unchanged_from_tobytes_formula(self, small3d, which):
+        tensor = small3d if which == "small3d" else CooTensor.empty((3, 4, 5))
+        assert tensor_fingerprint(tensor) == self._tobytes_digest(tensor)
+
+    def test_hashing_does_not_copy_the_index_array(self):
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 1000, size=(200_000, 3))
+        tensor = CooTensor(idx, rng.random(200_000), (1000, 1000, 1000),
+                           validate=False)
+        tracemalloc.start()
+        try:
+            tensor_fingerprint(tensor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.indices.nbytes // 10
 
 
 class TestConfigToken:

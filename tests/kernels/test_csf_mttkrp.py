@@ -14,36 +14,97 @@ from tests.conftest import make_factors
 
 
 class TestSegmentSum:
+    """``segment_sum`` reduces the last axis of an ``(R, n)`` scratch."""
+
     def test_basic(self):
-        data = np.arange(12.0).reshape(6, 2)
+        data = np.arange(12.0).reshape(2, 6)
         ptr = np.array([0, 2, 3, 6])
         out = segment_sum(data, ptr)
-        np.testing.assert_allclose(out[0], data[0] + data[1])
-        np.testing.assert_allclose(out[1], data[2])
-        np.testing.assert_allclose(out[2], data[3] + data[4] + data[5])
+        assert out.shape == (2, 3)
+        np.testing.assert_allclose(out[:, 0], data[:, 0] + data[:, 1])
+        np.testing.assert_allclose(out[:, 1], data[:, 2])
+        np.testing.assert_allclose(out[:, 2],
+                                   data[:, 3] + data[:, 4] + data[:, 5])
 
     def test_empty_segment_rejected(self):
         with pytest.raises(TensorFormatError):
-            segment_sum(np.ones((3, 2)), np.array([0, 0, 3]))
+            segment_sum(np.ones((2, 3)), np.array([0, 0, 3]))
 
     def test_coverage_mismatch_rejected(self):
         with pytest.raises(TensorFormatError):
-            segment_sum(np.ones((4, 2)), np.array([0, 2, 3]))
+            segment_sum(np.ones((2, 4)), np.array([0, 2, 3]))
 
     def test_no_segments(self):
-        out = segment_sum(np.zeros((0, 2)), np.array([0]))
-        assert out.shape == (0, 2)
+        out = segment_sum(np.zeros((2, 0)), np.array([0]))
+        assert out.shape == (2, 0)
 
     def test_validate_false_same_result(self):
-        data = np.arange(12.0).reshape(6, 2)
+        data = np.arange(12.0).reshape(2, 6)
         ptr = np.array([0, 2, 3, 6])
         np.testing.assert_array_equal(segment_sum(data, ptr),
                                       segment_sum(data, ptr, validate=False))
 
     def test_validate_false_skips_no_segment_scan(self):
         # the fast path still handles the empty-pointer edge correctly
-        out = segment_sum(np.zeros((0, 3)), np.array([0]), validate=False)
-        assert out.shape == (0, 3)
+        out = segment_sum(np.zeros((3, 0)), np.array([0]), validate=False)
+        assert out.shape == (3, 0)
+
+
+def _pairwise(x: list[float]) -> float:
+    """NumPy's pairwise float sum (``pairwise_sum`` in its loops source):
+    sequential below 8 terms, 8 interleaved partial sums up to a block of
+    128, and a recursive split (at a multiple of 8) above it."""
+    n = len(x)
+    if n < 8:  # numpy starts from -0.0, which leaves x[0] exact
+        res = x[0]
+        for v in x[1:]:
+            res += v
+        return res
+    if n <= 128:
+        r = list(x[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += x[i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in x[i:]:
+            res += v
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(x[:n2]) + _pairwise(x[n2:])
+
+
+class TestReduceatSummationOrder:
+    """Pins the numpy behaviour the rank-major kernels rely on.
+
+    ``np.add.reduceat`` seeds each segment with its first element and adds
+    the pairwise sum of the rest, whichever axis it reduces: along a
+    contiguous last axis and along a strided first axis the association is
+    the same, which is why moving the kernel scratch from ``(n, R)`` to
+    ``(R, n)`` changed no output bit.  If a numpy upgrade changes either
+    path, this test names the cause before the golden-digest test fails.
+    """
+
+    LENGTHS = (1, 5, 9, 130, 1000)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_first_plus_pairwise_model(self, dtype):
+        rng = np.random.default_rng(5)
+        ptr = np.concatenate(([0], np.cumsum(self.LENGTHS)))
+        data = rng.standard_normal((3, int(ptr[-1]))).astype(dtype)
+        rank_major = np.add.reduceat(data, ptr[:-1], axis=1)
+        row_major = np.add.reduceat(np.ascontiguousarray(data.T), ptr[:-1],
+                                    axis=0)
+        np.testing.assert_array_equal(rank_major.view(np.uint8),
+                                      row_major.T.copy().view(np.uint8))
+        for r in range(data.shape[0]):
+            for s, (a, b) in enumerate(zip(ptr[:-1], ptr[1:])):
+                seg = [dtype(v) for v in data[r, a:b]]
+                want = seg[0] + _pairwise(seg[1:]) if len(seg) > 1 else seg[0]
+                assert rank_major[r, s].tobytes() == dtype(want).tobytes(), \
+                    (r, b - a)
 
 
 class TestValidateFastPath:

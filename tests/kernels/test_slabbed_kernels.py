@@ -1,6 +1,6 @@
 """Slab-bounded kernel evaluation: bit-identity at any slab size.
 
-The CSF and CSL kernels bound their ``(nnz, R)`` scratch by evaluating
+The CSF and CSL kernels bound their ``(R, nnz)`` scratch by evaluating
 root-aligned slabs; because slabs split only at root-entry / slice
 boundaries, the result must be bit-identical to the single-pass path for
 every slab size down to 1.

@@ -88,10 +88,11 @@ class TestSegmentSumAndKhatriRao:
     def test_segment_sum_matches_bincount(self, seg_sizes, width, seed):
         rng = np.random.default_rng(seed)
         ptr = np.concatenate([[0], np.cumsum(seg_sizes)])
-        data = rng.standard_normal((int(ptr[-1]), width))
+        data = rng.standard_normal((width, int(ptr[-1])))
         got = segment_sum(data, ptr)
-        want = np.stack([data[ptr[i]:ptr[i + 1]].sum(axis=0)
-                         for i in range(len(seg_sizes))])
+        want = np.stack([data[:, ptr[i]:ptr[i + 1]].sum(axis=1)
+                         for i in range(len(seg_sizes))], axis=1)
+        assert got.shape == (width, len(seg_sizes))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @COMMON_SETTINGS
