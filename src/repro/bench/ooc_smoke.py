@@ -65,10 +65,11 @@ DEFAULT_SHARD_NNZ = 6_000_000
 #: address-space cap for the capped phases.  The streaming phase maps the
 #: shard files and the sorted view on top of the interpreter's baseline,
 #: so the cap is an address-space budget, not an RSS one.  Measured at the
-#: default scale: streaming VmPeak ~900 MiB, in-memory VmPeak ~1.68 GiB —
-#: 1280 MiB clears the streaming path with ~380 MiB of headroom while the
-#: in-memory concatenate + lexsort pipeline reliably dies with
-#: ``MemoryError`` ~400 MiB short of what it needs.
+#: default scale: streaming VmPeak ~900 MiB, in-memory VmPeak ~1.61 GiB,
+#: reached while generating the tensor in RAM (the HB-CSF build that
+#: follows stays below it) — 1280 MiB clears the streaming path with ~380
+#: MiB of headroom while the in-memory pipeline reliably dies with
+#: ``MemoryError`` ~370 MiB short of what it needs.
 DEFAULT_RLIMIT_MB = 1_280
 DEFAULT_MULTIPLE = 3.0
 MODE = 0

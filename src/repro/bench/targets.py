@@ -432,7 +432,7 @@ def _register_ooc_build(name: str) -> None:
                                  "manifest (mode-0 root); the mode-sorted "
                                  "shard view is built during warmup and "
                                  "cached on disk, so timed laps measure the "
-                                 "two-pass streaming build itself",
+                                 "chunk-by-chunk build itself",
                      probe=_ooc_probe, materialize="sharded")
     def _build(tensor, rank: int, dtype=None,
                _name: str = name) -> Callable[[], object]:
@@ -479,7 +479,7 @@ def _register_ooc_targets() -> None:
     for fmt_name in format_names(kind="own", cpu=True):
         # COO "builds" from shards by concatenating them back into RAM and
         # the CSL group needs an eligible-slice mask — neither exercises
-        # the streaming two-pass builders this group exists to measure.
+        # the chunk-by-chunk CSF-family builds this group exists to measure.
         if fmt_name == "coo" or get_format(fmt_name).requires_singleton_fibers:
             continue
         _register_ooc_build(fmt_name)

@@ -134,7 +134,8 @@ def build_bcsf(
     Parameters
     ----------
     tensor:
-        COO tensor (a CSF is built first) or an existing CSF whose root mode
+        COO tensor or sharded tensor (a CSF is built first, streaming a
+        sharded one shard at a time) or an existing CSF whose root mode
         must equal ``mode``.
     mode:
         Root mode of the representation.

@@ -35,12 +35,6 @@ from repro.formats.registry import (
     register_format,
     unregister_format,
 )
-from repro.formats.streaming import (
-    streaming_bcsf,
-    streaming_csf,
-    streaming_csl,
-    streaming_hbcsf,
-)
 
 # Importing the package registers the built-in formats.
 import repro.formats.builtin  # noqa: E402,F401  (registration side effect)
@@ -62,8 +56,4 @@ __all__ = [
     "clear_plan_cache",
     "tensor_fingerprint",
     "config_token",
-    "streaming_csf",
-    "streaming_bcsf",
-    "streaming_hbcsf",
-    "streaming_csl",
 ]

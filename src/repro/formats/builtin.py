@@ -28,19 +28,15 @@ def _mode_major_order(order: int, mode: int) -> tuple[int, ...]:
     return tuple([mode] + [x for x in range(order) if x != mode])
 
 
-def _is_sharded(tensor) -> bool:
-    """Out-of-core input?  (duck-typed: see ``ShardedCooTensor.is_sharded``)"""
-    return bool(getattr(tensor, "is_sharded", False))
-
-
 def _materialized(tensor):
-    """In-RAM COO view of a possibly sharded tensor.
+    """In-RAM COO view of a possibly sharded tensor (duck-typed: see
+    ``ShardedCooTensor.is_sharded``).
 
     Used by the representations that are inherently in-memory (COO itself
     and the modeled baselines, whose classes do their own whole-tensor
     preprocessing); the CSF-family builders stream instead.
     """
-    return tensor.to_coo() if _is_sharded(tensor) else tensor
+    return tensor.to_coo() if getattr(tensor, "is_sharded", False) else tensor
 
 
 def _simulate_kernel_for(workload, device, memory_model):
@@ -135,10 +131,6 @@ register_format(FormatSpec(
 # csf
 # --------------------------------------------------------------------- #
 def _csf_builder(tensor, mode, config, dtype=None):
-    if _is_sharded(tensor):
-        from repro.formats.streaming import streaming_csf
-
-        return cast_values(streaming_csf(tensor, mode), dtype)
     from repro.tensor.csf import build_csf
 
     return cast_values(build_csf(tensor, mode), dtype)
@@ -177,10 +169,7 @@ register_format(FormatSpec(
 # b-csf
 # --------------------------------------------------------------------- #
 def _bcsf_builder(tensor, mode, config, dtype=None):
-    if _is_sharded(tensor):
-        from repro.formats.streaming import streaming_bcsf as build_bcsf
-    else:
-        from repro.core.bcsf import build_bcsf
+    from repro.core.bcsf import build_bcsf
 
     rep = build_bcsf(tensor, mode, config)
     cast = cast_values(rep.csf, dtype)
@@ -219,10 +208,7 @@ register_format(FormatSpec(
 # hb-csf
 # --------------------------------------------------------------------- #
 def _hbcsf_builder(tensor, mode, config, dtype=None):
-    if _is_sharded(tensor):
-        from repro.formats.streaming import streaming_hbcsf as build_hbcsf
-    else:
-        from repro.core.hybrid import build_hbcsf
+    from repro.core.hybrid import build_hbcsf
 
     rep = build_hbcsf(tensor, mode, config)
     dtype = resolve_dtype(dtype)
@@ -270,11 +256,7 @@ register_format(FormatSpec(
 # --------------------------------------------------------------------- #
 def _csl_builder(tensor, mode, config, dtype=None):
     from repro.core.csl import build_csl_group
-
-    if _is_sharded(tensor):
-        from repro.formats.streaming import streaming_csf as build_csf
-    else:
-        from repro.tensor.csf import build_csf
+    from repro.tensor.csf import build_csf
 
     csf = build_csf(tensor, mode)
     try:

@@ -16,12 +16,17 @@ This module stores the tree with SPLATT-style arrays:
 Following the paper (and SPLATT's ALLMODE configuration) a separate CSF is
 built per root mode; MTTKRP for mode ``n`` always uses the representation
 rooted at ``n``.
+
+:func:`build_csf` is the one construction: two passes (count, then fill
+exact-size arrays) over the sorted, deduplicated nonzero stream, which is
+one chunk for an in-memory tensor and one chunk per shard for a sharded
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -115,8 +120,6 @@ class CsfTensor:
                 np.arange(ptr.shape[0] - 1, dtype=np.int64), np.diff(ptr)
             )
             owner = parent[owner] if level < self.order - 3 else parent
-        if self.order == 2:  # pragma: no cover - matrices not used in paper
-            return owner
         return owner
 
     def node_index_of_leaf(self, level: int) -> np.ndarray:
@@ -193,6 +196,137 @@ class CsfTensor:
         return int(words)
 
 
+def _level_bounds(idx: np.ndarray, mode_order: tuple[int, ...],
+                  prev: np.ndarray | None) -> list[np.ndarray]:
+    """Per-internal-level "new node starts here" flags for one chunk.
+
+    At level ``l`` a node is identified by the coordinates of modes
+    ``mode_order[0..l]``; the chunk is lexicographically sorted, so a node
+    starts wherever that coordinate or a coarser level's changes.  ``prev``
+    is the last coordinate row of the previous chunk (``None`` at the start
+    of the stream) so boundaries crossing a chunk edge are flagged exactly
+    as in one unbroken chunk.
+    """
+    n = idx.shape[0]
+    bounds: list[np.ndarray] = []
+    coarser: np.ndarray | None = None
+    for level in range(len(mode_order) - 1):
+        col = idx[:, mode_order[level]]
+        cur = np.empty(n, dtype=bool)
+        cur[0] = True if prev is None else bool(
+            col[0] != prev[mode_order[level]])
+        cur[1:] = col[1:] != col[:-1]
+        if coarser is not None:
+            cur |= coarser
+        bounds.append(cur)
+        coarser = cur
+    return bounds
+
+
+class _CsfAssembler:
+    """Two-pass CSF construction over sorted, deduplicated chunks.
+
+    Pass 1 (:meth:`count`) runs the boundary flags over every chunk to size
+    each level; :meth:`allocate` then creates the exact ``fids``/``fptr``
+    arrays; pass 2 (:meth:`fill`) re-runs the flags and writes each chunk's
+    slab.  A caller that already knows the level sizes (HB-CSF's partition
+    scan) presets ``node_counts``/``nnz`` and skips pass 1.
+    """
+
+    def __init__(self, shape: tuple[int, ...],
+                 mode_order: tuple[int, ...]) -> None:
+        self.shape = shape
+        self.mode_order = mode_order
+        self.order = len(shape)
+        self.node_counts = [0] * (self.order - 1)
+        self.nnz = 0
+        self._prev: np.ndarray | None = None
+
+    def count(self, idx: np.ndarray) -> None:
+        if idx.shape[0] == 0:
+            return
+        bounds = _level_bounds(idx, self.mode_order, self._prev)
+        for level, b in enumerate(bounds):
+            self.node_counts[level] += int(np.count_nonzero(b))
+        self.nnz += int(idx.shape[0])
+        self._prev = np.array(idx[-1])
+
+    def allocate(self) -> None:
+        self._fids = [np.empty(c, dtype=INDEX_DTYPE)
+                      for c in self.node_counts]
+        self._fids.append(np.empty(self.nnz, dtype=INDEX_DTYPE))
+        self._fptr = [np.empty(c + 1, dtype=INDEX_DTYPE)
+                      for c in self.node_counts]
+        self._values = np.empty(self.nnz, dtype=VALUE_DTYPE)
+        self._pos = [0] * (self.order - 1)
+        self._leaf_pos = 0
+        self._prev = None
+
+    def fill(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        n = idx.shape[0]
+        if n == 0:
+            return
+        bounds = _level_bounds(idx, self.mode_order, self._prev)
+        flat = np.ascontiguousarray(idx).reshape(-1)
+        starts = np.flatnonzero(bounds[0])
+        for level in range(self.order - 1):
+            k = starts.shape[0]
+            p = self._pos[level]
+            ptr = self._fptr[level][p:p + k]
+            if level < self.order - 2:
+                # every node start is also a start of its first child, so
+                # a node's first child is the child sharing its position
+                child = np.flatnonzero(bounds[level + 1])
+                np.add(np.flatnonzero(bounds[level][child]),
+                       self._pos[level + 1], out=ptr)
+            else:
+                child = None
+                np.add(starts, self._leaf_pos, out=ptr)
+            # fids = idx[starts, mode], gathered through flat offsets
+            # straight into the output (mode="clip" keeps take unbuffered)
+            starts *= self.order
+            starts += self.mode_order[level]
+            np.take(flat, starts, out=self._fids[level][p:p + k], mode="clip")
+            self._pos[level] += k
+            starts = child
+        leaves = slice(self._leaf_pos, self._leaf_pos + n)
+        self._fids[-1][leaves] = idx[:, self.mode_order[-1]]
+        self._values[leaves] = vals
+        self._leaf_pos += n
+        self._prev = np.array(idx[-1])
+
+    def finish(self) -> CsfTensor:
+        if self.nnz == 0:
+            fids = [np.zeros(0, dtype=INDEX_DTYPE)
+                    for _ in range(self.order)]
+            fptr = [np.zeros(1, dtype=INDEX_DTYPE)
+                    for _ in range(self.order - 1)]
+            return CsfTensor(self.shape, self.mode_order, fptr, fids,
+                             np.zeros(0, dtype=VALUE_DTYPE))
+        for level in range(self.order - 2):
+            self._fptr[level][-1] = self.node_counts[level + 1]
+        self._fptr[self.order - 2][-1] = self.nnz
+        return CsfTensor(self.shape, self.mode_order, self._fptr,
+                         self._fids, self._values)
+
+
+def _sorted_chunks(tensor, mode_order: tuple[int, ...]
+                   ) -> Callable[[], Iterable[CooTensor]]:
+    """The deduplicated nonzeros of ``tensor`` sorted by ``mode_order``,
+    as a function that starts one pass over them.
+
+    An in-memory :class:`CooTensor` is a stream of one chunk.  A sharded
+    tensor (anything with a true ``is_sharded``, see
+    :class:`~repro.tensor.shards.ShardedCooTensor`) streams the shards of
+    its cached sorted view one at a time; that view sums duplicates exactly
+    like :meth:`CooTensor.deduplicated`, so both give the same bits.
+    """
+    if getattr(tensor, "is_sharded", False):
+        return tensor.sorted_view(mode_order, dedup=True).iter_chunks
+    chunk = tensor.deduplicated().sorted_by_modes(mode_order)
+    return lambda: (chunk,)
+
+
 def build_csf(tensor: CooTensor, root_mode: int = 0,
               mode_order: Sequence[int] | None = None) -> CsfTensor:
     """Build a CSF tree from a COO tensor.
@@ -200,7 +334,9 @@ def build_csf(tensor: CooTensor, root_mode: int = 0,
     Parameters
     ----------
     tensor:
-        Input tensor.
+        Input tensor: a :class:`CooTensor`, or a sharded tensor, which is
+        streamed one shard at a time so the working set is one shard plus
+        the output tree.
     root_mode:
         Mode stored at the root (level 0).  MTTKRP for this mode can then be
         computed without atomics across slices.
@@ -219,66 +355,11 @@ def build_csf(tensor: CooTensor, root_mode: int = 0,
     if tensor.order < 2:
         raise DimensionError("CSF requires an order >= 2 tensor")
 
-    sorted_t = tensor.deduplicated().sorted_by_modes(mode_order)
-    idx = sorted_t.indices
-    vals = sorted_t.values
-    order = tensor.order
-
-    fids: list[np.ndarray] = []
-    fptr: list[np.ndarray] = []
-
-    if sorted_t.nnz == 0:
-        for level in range(order - 1):
-            fids.append(np.zeros(0, dtype=INDEX_DTYPE))
-            fptr.append(np.zeros(1, dtype=INDEX_DTYPE))
-        fids.append(np.zeros(0, dtype=INDEX_DTYPE))
-        return CsfTensor(tensor.shape, mode_order, fptr, fids,
-                         np.zeros(0, dtype=VALUE_DTYPE))
-
-    # ``group`` maps each nonzero to its node id at the current level.
-    # At level l the node identity is the tuple of coordinates of modes
-    # mode_order[0..l]; because the nonzeros are lexicographically sorted we
-    # can detect node boundaries with a running "new node" flag.
-    nnz = sorted_t.nnz
-    new_node = np.zeros(nnz, dtype=bool)
-    new_node[0] = True
-    leaf_parent_ptr_prev: np.ndarray | None = None
-    for level in range(order - 1):
-        col = idx[:, mode_order[level]]
-        if level == 0:
-            boundary = np.empty(nnz, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = col[1:] != col[:-1]
-        else:
-            boundary = new_node.copy()
-            boundary[1:] |= col[1:] != col[:-1]
-        # Node starts at this level (cumulative with coarser levels).
-        new_node = boundary
-        starts = np.flatnonzero(boundary)
-        fids.append(col[starts].astype(INDEX_DTYPE))
-        if level == 0:
-            # pointer array filled in the next iteration / after the loop
-            level_starts = [starts]
-        else:
-            level_starts.append(starts)
-
-    # Leaf level indices.
-    fids.append(idx[:, mode_order[-1]].astype(INDEX_DTYPE))
-
-    # Pointer arrays: fptr[l][n] = index (in level l+1's node list) of the
-    # first child of node n.  Children of level-l nodes are the level-(l+1)
-    # nodes; both are identified by their start position in the sorted
-    # nonzero stream, so a searchsorted over the child starts suffices.
-    for level in range(order - 2):
-        parent_starts = level_starts[level]
-        child_starts = level_starts[level + 1]
-        ptr = np.searchsorted(child_starts, parent_starts)
-        ptr = np.append(ptr, child_starts.shape[0]).astype(INDEX_DTYPE)
-        fptr.append(ptr)
-    # Last internal level points straight into the leaves.
-    last_starts = level_starts[order - 2]
-    ptr = np.append(last_starts, nnz).astype(INDEX_DTYPE)
-    fptr.append(ptr)
-
-    csf = CsfTensor(tensor.shape, mode_order, fptr, fids, vals.copy())
-    return csf
+    chunks = _sorted_chunks(tensor, mode_order)
+    asm = _CsfAssembler(tensor.shape, mode_order)
+    for chunk in chunks():
+        asm.count(chunk.indices)
+    asm.allocate()
+    for chunk in chunks():
+        asm.fill(chunk.indices, chunk.values)
+    return asm.finish()

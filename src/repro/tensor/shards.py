@@ -18,9 +18,9 @@ and the shard size, never on append batching.
 over int64-encoded coordinates whose stable runs/merges preserve the
 original appearance order of duplicate coordinates, and whose duplicate
 sums go through ``np.bincount`` exactly like
-``repro.tensor.coo._sum_duplicates`` — the streamed CSF-family builders
-(:mod:`repro.formats.streaming`) rely on this to stay bit-identical to the
-in-memory builds.
+``repro.tensor.coo._sum_duplicates`` — the CSF-family builders, which
+stream a sharded input through its sorted view, rely on this to stay
+bit-identical to the in-memory builds.
 """
 
 from __future__ import annotations
@@ -307,7 +307,8 @@ class ShardedCooTensor:
     :meth:`manifest_digest` instead of hashing in-RAM arrays.
     """
 
-    #: duck-typing marker checked by the format builders' routing.
+    #: duck-typing marker: the CSF-family builders stream inputs that
+    #: carry it, and the in-memory-only formats materialise them.
     is_sharded = True
 
     def __init__(self, root: str | os.PathLike, manifest: dict) -> None:

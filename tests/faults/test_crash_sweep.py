@@ -15,8 +15,8 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core.hybrid import build_hbcsf
 from repro.faults import inject, scan_for_debris
-from repro.formats.streaming import streaming_hbcsf
 from repro.tensor.random_gen import random_coo
 from repro.tensor.shards import open_sharded, save_sharded, sort_sharded
 from repro.util.errors import FaultInjected
@@ -122,7 +122,7 @@ def test_sort_sharded_killed_at_every_commit(sharded, tmp_path, point,
     ("shards.sort.merge", 1),
 ])
 def test_streaming_hbcsf_killed_during_view_build(sharded, point, min_kills):
-    reference = streaming_hbcsf(sharded, mode=1)
+    reference = build_hbcsf(sharded, mode=1)
 
     def crash_once():
         # drop the materialised sorted view so each attempt rebuilds it
@@ -131,12 +131,12 @@ def test_streaming_hbcsf_killed_during_view_build(sharded, point, min_kills):
             if child.is_dir() and child.name.startswith("sorted-"):
                 shutil.rmtree(child)
         try:
-            streaming_hbcsf(sharded, mode=1)
+            build_hbcsf(sharded, mode=1)
         except FaultInjected:
             assert scan_for_debris(sharded.root) == []
             # reopen-and-resume without clearing anything: sorted_view
             # must treat the crashed build as derivable damage
-            recovered = streaming_hbcsf(sharded, mode=1)
+            recovered = build_hbcsf(sharded, mode=1)
             assert_hbcsf_bit_identical(recovered, reference)
             assert scan_for_debris(sharded.root) == []
             return False

@@ -1,9 +1,11 @@
-"""Streaming (chunk-fed) format builders must be bit-identical to in-memory.
+"""CSF-family builds streamed from shards must be bit-identical to in-memory.
 
-The out-of-core path earns its keep only if nothing downstream can tell it
-apart: every array of every representation built from a shard manifest must
-equal — bit for bit, compared through ``view(uint64)`` so ``-0.0`` and NaN
-payloads count — the arrays built from the equivalent in-RAM ``CooTensor``.
+The builders treat an in-memory ``CooTensor`` as one sorted chunk and a
+sharded tensor as many, so these tests check chunk invariance: every array
+of every representation built from a shard manifest must equal — bit for
+bit, compared through ``view(uint64)`` so ``-0.0`` and NaN payloads count —
+the arrays built from the equivalent in-RAM ``CooTensor``.  The independent
+reference is ``test_golden_structures.py``.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ import pytest
 
 from repro.core.bcsf import build_bcsf
 from repro.core.csl import build_csl_group
-from repro.core.hybrid import build_hbcsf, partition_slices
-from repro.formats.streaming import (
-    streaming_bcsf,
-    streaming_csf,
-    streaming_csl,
-    streaming_hbcsf,
-)
+from repro.core.hybrid import build_hbcsf
 from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE
 from repro.tensor.csf import build_csf
 from repro.tensor.random_gen import random_coo
@@ -75,13 +71,13 @@ class TestStreamingCsf:
         tensor, sharded = case
         for mode in range(tensor.order):
             expected = build_csf(tensor, mode)
-            got = streaming_csf(sharded, mode)
+            got = build_csf(sharded, mode)
             assert_csf_equal(got, expected)
 
     def test_empty_tensor(self, tmp_path):
         empty = CooTensor.empty((4, 5, 6))
         sharded = save_sharded(empty, tmp_path / "e", shard_nnz=8)
-        assert_csf_equal(streaming_csf(sharded, 0), build_csf(empty, 0))
+        assert_csf_equal(build_csf(sharded, 0), build_csf(empty, 0))
 
 
 def assert_bcsf_equal(a, b) -> None:
@@ -96,7 +92,7 @@ class TestStreamingBcsf:
     def test_bit_identical(self, case, mode):
         tensor, sharded = case
         expected = build_bcsf(tensor, mode)
-        got = streaming_bcsf(sharded, mode)
+        got = build_bcsf(sharded, mode)
         assert_bcsf_equal(got, expected)
 
 
@@ -105,7 +101,7 @@ class TestStreamingHbcsf:
     def test_bit_identical(self, case, mode):
         tensor, sharded = case
         expected = build_hbcsf(tensor, mode)
-        got = streaming_hbcsf(sharded, mode)
+        got = build_hbcsf(sharded, mode)
         for mask in ("coo_mask", "csl_mask", "csf_mask"):
             np.testing.assert_array_equal(getattr(got.partition, mask),
                                           getattr(expected.partition, mask))
@@ -141,7 +137,7 @@ class TestStreamingCsl:
         sharded = save_sharded(tensor, tmp_path / "csl", shard_nnz=53)
         csf = build_csf(tensor, 0)
         expected = build_csl_group(csf)
-        got = streaming_csl(sharded, 0)
+        got = build_csl_group(build_csf(sharded, 0))
         np.testing.assert_array_equal(got.slice_inds, expected.slice_inds)
         np.testing.assert_array_equal(got.slice_ptr, expected.slice_ptr)
         np.testing.assert_array_equal(got.rest_indices, expected.rest_indices)
