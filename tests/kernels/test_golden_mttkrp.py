@@ -4,8 +4,8 @@ The other bit-identity tests compare a kernel with itself (slabs against
 one pass, threads against serial), so a change of summation order inside
 the kernels passes them all.  This one does not: ``golden_mttkrp.json``
 holds the digest of every output over formats x modes x float32/float64 x
-serial/2-thread backends x default/7-nonzero slabs on two seeded tensors
-(order 3 with fibers longer than the 128-nonzero split threshold, and
+serial/2-thread backends x slab budgets (default, 7 nonzeros, single rank
+row) on two seeded tensors (order 3 with fibers longer than the 128-nonzero split threshold, and
 order 4), plus the CSL-only format on an all-singleton-fiber tensor.
 
 Re-record only when a change of floating-point results is intended::
@@ -39,7 +39,9 @@ GOLDEN = Path(__file__).with_name("golden_mttkrp.json")
 RANK = 6
 DTYPES = ("float32", "float64")
 BACKENDS = ("serial", "threads")
-SLABS = ("default", "7")
+#: ``DEFAULT_SLAB_ELEMS`` budgets: the default, 7 nonzeros at full rank, and
+#: one element, under which every kernel pass is a single rank row.
+SLABS = {"default": None, "7": 7 * RANK, "row": 1}
 #: formats run through ``repro.mttkrp``; ``coo-<method>`` pins one COO
 #: accumulator (``bincount`` is serial-only).
 FORMATS = ("coo", "coo-add_at", "coo-sort", "coo-bincount", "csf", "b-csf",
@@ -120,8 +122,7 @@ def digests_for(name: str, fmt: str) -> dict[str, str]:
     default_elems = csf_kernels.DEFAULT_SLAB_ELEMS
     try:
         for slab in SLABS:
-            csf_kernels.DEFAULT_SLAB_ELEMS = (
-                default_elems if slab == "default" else int(slab) * RANK)
+            csf_kernels.DEFAULT_SLAB_ELEMS = SLABS[slab] or default_elems
             for mode in range(tensor.order):
                 for dtype in DTYPES:
                     for backend in BACKENDS:
