@@ -5,8 +5,8 @@ one pass, threads against serial), so a change of summation order inside
 the kernels passes them all.  This one does not: ``golden_mttkrp.json``
 holds the digest of every output over formats x modes x float32/float64 x
 serial/2-thread backends x slab budgets (default, 7 nonzeros, single rank
-row) on two seeded tensors (order 3 with fibers longer than the 128-nonzero split threshold, and
-order 4), plus the CSL-only format on an all-singleton-fiber tensor.
+row) on two seeded tensors (order 3 with fibers longer than the 128-nonzero
+split threshold, and order 4), plus the CSL-only format on an all-singleton-fiber tensor.
 
 Re-record only when a change of floating-point results is intended::
 
