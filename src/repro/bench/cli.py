@@ -552,7 +552,7 @@ def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
                      metavar="SECONDS",
                      help="per-cell wall-clock budget; an expired cell is "
                           "recorded with status=timeout and the sweep "
-                          "continues (cooperative: checked at kernel slab "
+                          "continues (cooperative: checked at kernel pass "
                           "and ALS iteration boundaries)")
     sub.add_argument("--name", default=None,
                      help="run name (artifact becomes BENCH_<name>.json)")

@@ -78,7 +78,7 @@ class BenchConfig:
     #: (``materialize="sharded"``); None takes the library default.
     shard_nnz: int | None = None
     #: wall-clock budget per (target, scenario) cell.  Enforced
-    #: cooperatively through the ambient deadline (kernel slab boundaries,
+    #: cooperatively through the ambient deadline (kernel pass boundaries,
     #: ALS iteration edges): an expired cell is recorded with
     #: ``status="timeout"`` and the sweep moves on to the next cell
     #: instead of aborting the matrix.  ``None`` disables the watchdog.

@@ -162,7 +162,7 @@ def cp_als(
         Optional wall-clock budget (seconds, or a
         :class:`repro.faults.Deadline`).  Checked cooperatively at every
         iteration edge and — through the ambient deadline scope — at every
-        kernel slab boundary.  On expiry the solve raises
+        kernel pass boundary.  On expiry the solve raises
         :class:`~repro.util.errors.DeadlineExceeded` whose ``partial``
         attribute is a :class:`CpdResult` of the committed (fully finished)
         iterations; with a ``checkpoint`` the same state is on disk.

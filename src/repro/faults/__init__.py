@@ -9,7 +9,7 @@ directory and the top-level README's "Failure model & recovery" section):
   or the :func:`inject` context manager) that raise, truncate, corrupt or
   stall at those points, reproducibly;
 * **deadline budgets** (:class:`Deadline`, ambient via
-  :func:`deadline_scope`) checked cooperatively at slab / iteration / lap
+  :func:`deadline_scope`) checked cooperatively at pass / iteration / lap
   boundaries, raising :class:`~repro.util.errors.DeadlineExceeded` with
   partial results attached.
 

@@ -1,7 +1,7 @@
 """Cooperative deadline budgets.
 
 A :class:`Deadline` is a monotonic-clock budget checked at natural
-execution boundaries — reduction slabs inside the MTTKRP kernels, CP-ALS
+execution boundaries — passes inside the MTTKRP kernels, CP-ALS
 iteration edges, bench-cell laps.  Checks raise
 :class:`~repro.util.errors.DeadlineExceeded`, which carries the partial
 result the caller attached (e.g. the factors of the committed iterations),
@@ -12,7 +12,7 @@ The *ambient* deadline is a :mod:`contextvars` variable:
 it with :func:`check_deadline` without any signature plumbing.  Context
 variables are per-thread — worker threads of the parallel backend do not
 inherit the scope, so the watchdog boundaries are the serial orchestration
-points (slab loops, iteration edges, bench laps), which is where a hung
+points (kernel passes, iteration edges, bench laps), which is where a hung
 cell is actually caught.
 """
 

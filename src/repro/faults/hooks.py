@@ -82,7 +82,7 @@ BUILTIN_FAULT_POINTS: tuple[tuple[str, str], ...] = (
      "build-plan cache lookup (a fired corrupt/truncate drops the entry, "
      "forcing a transparent rebuild)"),
     ("kernel.slab",
-     "one reduction slab of the CSF / CSL MTTKRP kernels"),
+     "one pass (rank rows × nonzero range) of the CSF / CSL / COO kernels"),
     ("als.iteration",
      "one outer CP-ALS iteration boundary"),
     ("checkpoint.commit",

@@ -28,19 +28,29 @@ the scatter path for tiny ones, where sort overhead dominates.  All paths
 produce the same sums up to float addition order (they agree to allclose
 tolerance; per-row partial sums are reassociated).
 
-The Hadamard accumulator is a rank-major ``(R, nnz)`` array (the layout
-of every kernel, see :mod:`repro.kernels.csf_mttkrp`) formed by scaling the
-*first* gathered factor by the values in place — no all-ones matrix is
-materialised — and is computed in the requested compute dtype (``float32``
-halves the memory traffic of this bandwidth-bound kernel; see
-:mod:`repro.util.dtypes`).
+The kernel runs in passes of rank rows times nonzeros (see
+:func:`repro.kernels.csf_mttkrp.kernel_passes`), so its scratch stays
+within :data:`~repro.kernels.csf_mttkrp.DEFAULT_SLAB_ELEMS` elements per
+array like every other kernel's.  Where a pass may split the nonzeros
+depends on the accumulator, and keeps every output bit of the single-pass
+evaluation: ``"sort"`` passes split only between runs of one target index,
+``"add_at"`` passes anywhere (its adds land in nonzero order either way),
+and ``"bincount"`` passes split only the rank rows, because each column's
+sum must cover every nonzero.
+
+The Hadamard accumulator of a pass is a rank-major ``(rows, nnz)`` array
+formed by scaling the *first* gathered factor by the values in place — no
+all-ones matrix is materialised — and is computed in the requested compute
+dtype (``float32`` halves the memory traffic of this bandwidth-bound
+kernel; see :mod:`repro.util.dtypes`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.csf_mttkrp import rank_major
+from repro.kernels.csf_mttkrp import (Scratch, index_array, kernel_passes,
+                                      rank_major)
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
@@ -60,30 +70,6 @@ COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort", "bincount")
 #: ``kernel.coo-sorted``).  The empirical autotuner (:mod:`repro.tune`)
 #: refines this static default per tensor.
 SORT_MIN_NNZ = 2048
-
-
-def _accumulate_add_at(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    np.add.at(out, idx, acc.T)
-
-
-def _accumulate_sort(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    # ``idx`` and ``acc`` arrive permuted into stable target-index order
-    # (see :func:`coo_mttkrp`), so each run of equal indices is one
-    # contiguous segment and its head is a unique output row.
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
-    out.T[:, idx[starts]] += np.add.reduceat(acc, starts, axis=1)
-
-
-def _accumulate_bincount(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    for r in range(acc.shape[0]):
-        out[:, r] += np.bincount(idx, weights=acc[r], minlength=out.shape[0])
-
-
-_ACCUMULATORS = {
-    "add_at": _accumulate_add_at,
-    "sort": _accumulate_sort,
-    "bincount": _accumulate_bincount,
-}
 
 
 def coo_mttkrp(
@@ -147,30 +133,48 @@ def coo_mttkrp(
     if method == "auto":
         method = "sort" if tensor.nnz >= SORT_MIN_NNZ else "add_at"
     factors = rank_major(factors, out.dtype, skip=mode)
-    idx = tensor.indices[:, mode]
-    perm = slice(None)
+    nnz = tensor.nnz
+    target = tensor.indices[:, mode]
+    perm = None
     if method == "sort":
         # Sort first, then gather through the permuted index columns: the
         # per-element products are the same as permuting a finished
-        # accumulator, and no unsorted (R, nnz) array is ever live.
-        perm = np.argsort(idx, kind="stable")
-        idx = idx[perm]
-    values = tensor.values[perm].astype(out.dtype, copy=False)
-    acc = None
-    for m in range(tensor.order):
-        if m == mode:
-            continue
-        gathered = np.take(factors[m].T, tensor.indices[perm, m], axis=1)
-        if acc is None:
-            # Scale the first (R, nnz) gather by the values in place: no
-            # all-ones matrix is materialised and the multiplication order
-            # per element is unchanged.
-            gathered *= values
-            acc = gathered
-        else:
-            acc *= gathered
-    if acc is None:  # order-1 tensor: no non-target factors to gather
-        acc = np.repeat(values[None, :], rank, axis=0)
+        # accumulator, and no unsorted scratch is ever live.  Passes split
+        # between runs of equal indices.
+        perm = np.argsort(target, kind="stable")
+        target = target[perm]
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(target)) + 1, [nnz]))
+    elif method == "add_at":
+        bounds = nnz                  # adds land in nonzero order anyway
+    else:
+        bounds = np.array([0, nnz])   # a column sum covers every nonzero
+    others = [m for m in range(tensor.order) if m != mode]
 
-    _ACCUMULATORS[method](out, idx, acc)
+    scratch = Scratch(out.dtype)
+    for start, stop, r0, r1 in kernel_passes(bounds, rank):
+        if r0 == 0:
+            if method == "add_at":
+                lo, hi = start, stop
+            else:
+                lo, hi = int(bounds[start]), int(bounds[stop])
+            sel = slice(lo, hi) if perm is None else perm[lo:hi]
+            cols = [index_array(tensor.indices[sel, m]) for m in others]
+            vals = tensor.values[sel].astype(out.dtype, copy=False)
+            idx = index_array(target[lo:hi])
+            if method == "sort":
+                runs = bounds[start:stop] - lo
+                heads = idx[runs]
+        tables = [factors[m].T[r0:r1] for m in others]
+        acc = scratch.hadamard(tables, cols, vals, r1 - r0)
+        out_t = out.T[r0:r1]
+        if method == "sort":
+            # each run's head is a unique output row
+            out_t[:, heads] += np.add.reduceat(acc, runs, axis=1)
+        elif method == "add_at":
+            np.add.at(out_t.T, idx, acc.T)
+        else:
+            for r in range(r1 - r0):
+                out_t[r] += np.bincount(idx, weights=acc[r],
+                                        minlength=rows)
     return out

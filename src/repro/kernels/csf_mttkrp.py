@@ -12,15 +12,26 @@ Factoring the reductions this way is what saves the ``R (J - 1)``
 multiplications per fiber relative to COO (Section II-C).
 
 Kernel layout (shared by every kernel in :mod:`repro.kernels`): the
-per-nonzero scratch is a C-contiguous ``(R, n)`` array.  Factor rows are
-gathered with ``np.take(F.T, idx, axis=1)`` from the ``(R, I)`` view of an
-F-contiguous ``(I, R)`` factor (see :func:`rank_major`), segments are
-reduced along the last axis, and each reduced row is written into the
-output once, with a plain indexed add wherever the target rows are unique.
-The ``(R, n)`` layout gives ``np.add.reduceat`` contiguous segments, and
-reduceat associates a segment's sum the same way along either axis, so the
-output bits do not depend on the layout (``tests/kernels/golden_mttkrp.json``
-pins them).
+per-nonzero scratch is a C-contiguous ``(rows, n)`` array of rank rows by
+nonzeros.  Factor rows are gathered with ``np.take(F.T[r0:r1], idx,
+axis=1)`` from the ``(R, I)`` view of an F-contiguous ``(I, R)`` factor (see
+:func:`rank_major`), segments are reduced along the last axis, and each
+reduced row is written into ``out.T[r0:r1]`` once, with a plain indexed add
+wherever the target rows are unique.  The ``(rows, n)`` layout gives
+``np.add.reduceat`` contiguous segments, and reduceat associates a
+segment's sum the same way along either axis, so the output bits do not
+depend on the layout (``tests/kernels/golden_mttkrp.json`` pins them).
+
+Every kernel runs as a sequence of *passes* (:func:`kernel_passes`): a
+block of rank rows ``[r0, r1)`` times a nonzero range that splits only
+where the kernel's reduction allows (root entries, slices, runs of one
+target index).  The nonzero range is as long as :data:`DEFAULT_SLAB_ELEMS`
+allows and the rank rows fill the rest of the budget, so a gathered factor
+row is streamed once per pass over up to ``DEFAULT_SLAB_ELEMS //
+min(R, PASS_ROWS)`` nonzeros while the scratch stays within the budget.
+Each rank row's arithmetic is independent of the others, and each output
+row receives its partial sums in the same order, so the bits do not depend
+on the pass shape.
 """
 
 from __future__ import annotations
@@ -29,30 +40,150 @@ import numpy as np
 
 from repro.faults.deadline import check_deadline
 from repro.faults.hooks import fault_point
+from repro.telemetry.counters import counter_add
 from repro.tensor.csf import CsfTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csf_mttkrp", "segment_sum", "rank_major", "DEFAULT_SLAB_ELEMS",
-           "slab_nnz_for"]
+           "PASS_ROWS", "slab_nnz_for", "pass_rows", "kernel_passes",
+           "Scratch", "check_rows", "index_array"]
 
-#: soft cap on the elements of the ``(R, nnz)`` scratch the CSF and CSL
-#: kernels materialise per slab (2^22 float64 elements = 32 MB).  Tensors
-#: are evaluated in root-aligned slabs (one slab when the nonzeros fit) so
-#: peak scratch stays bounded no matter how far the out-of-core ladder
-#: scales nnz.
+#: element budget of one kernel pass: the ``(rows, nonzeros)`` scratch
+#: arrays the CSF, CSL and COO kernels materialise hold at most this many
+#: elements each (2^22 float64 elements = 32 MB) unless a single rank row
+#: over one indivisible nonzero range is larger.  It bounds peak scratch no
+#: matter how far the out-of-core ladder scales nnz.
 DEFAULT_SLAB_ELEMS = 1 << 22
+
+#: rank rows of a pass whose nonzero range fills the budget: the range is
+#: capped at ``DEFAULT_SLAB_ELEMS // min(R, PASS_ROWS)`` nonzeros, which
+#: keeps the per-pass overhead of the reductions and the output scatter
+#: small against the gathers.
+PASS_ROWS = 4
 
 
 def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
-    """Nonzeros per reduction slab: explicit override or the element budget."""
+    """Nonzeros per pass: explicit override or the element budget."""
     if slab_nnz is not None:
         if slab_nnz < 1:
             raise TensorFormatError(
                 f"slab_nnz must be >= 1, got {slab_nnz}")
         return slab_nnz
-    return max(1, DEFAULT_SLAB_ELEMS // max(rank, 1))
+    return max(1, DEFAULT_SLAB_ELEMS // min(max(rank, 1), PASS_ROWS))
+
+
+def pass_rows(rank: int, nnz: int) -> int:
+    """Rank rows per pass over ``nnz`` nonzeros: as many as the element
+    budget allows (at least one), spread evenly over the row blocks."""
+    rank = max(rank, 1)
+    rows = min(max(DEFAULT_SLAB_ELEMS // max(nnz, 1), 1), rank)
+    blocks = -(-rank // rows)
+    return -(-rank // blocks)
+
+
+def kernel_passes(bounds, rank: int, slab_nnz: int | None = None):
+    """Yield ``(start, stop, r0, r1)`` for every pass of one kernel call.
+
+    ``bounds`` is the nonzero offset of every point where the kernel may
+    split its nonzeros, from 0 to nnz (root entries of a CSF tree, slices
+    of a CSL group, runs of a sorted target index); an ``int`` nnz lets
+    the passes split anywhere.  A pass covers the units ``[start, stop)``
+    — as many as fit in :func:`slab_nnz_for` nonzeros, at least one — and
+    the rank rows ``[r0, r1)`` (:func:`pass_rows`).  The passes over one
+    nonzero range are consecutive and the first has ``r0 == 0``, so a
+    kernel prepares range-wide arrays once per range.
+
+    Pass boundaries are the kernels' fault point and cooperative watchdog:
+    each pass fires ``kernel.slab``, polls the ambient deadline (bench
+    cell timeout, service budget) so a long kernel can be interrupted
+    between passes, and counts one ``kernel.passes``.
+    """
+    slab = slab_nnz_for(rank, slab_nnz)
+    anywhere = isinstance(bounds, (int, np.integer))
+    units = int(bounds) if anywhere else bounds.shape[0] - 1
+    start = 0
+    while start < units:
+        if anywhere:
+            stop = min(start + slab, units)
+            nnz = stop - start
+        else:
+            stop = int(np.searchsorted(bounds, bounds[start] + slab,
+                                       side="right")) - 1
+            stop = min(max(stop, start + 1), units)
+            nnz = int(bounds[stop] - bounds[start])
+        rows = pass_rows(rank, nnz)
+        for r0 in range(0, rank, rows):
+            fault_point("kernel.slab")
+            check_deadline("kernel.slab")
+            counter_add("kernel.passes")
+            yield start, stop, r0, min(r0 + rows, rank)
+        start = stop
+
+
+class Scratch:
+    """Flat buffers the passes of one kernel call carve their
+    ``(rows, n)`` arrays from, so a pass reuses the previous pass's pages
+    instead of faulting in fresh ones."""
+
+    def __init__(self, dtype) -> None:
+        self.dtype = dtype
+        self._bufs: dict[int, np.ndarray] = {}
+
+    def array(self, slot: int, rows: int, n: int) -> np.ndarray:
+        size = rows * n
+        buf = self._bufs.get(slot)
+        if buf is None or buf.shape[0] < size:
+            buf = self._bufs[slot] = np.empty(size, dtype=self.dtype)
+        return buf[:size].reshape(rows, n)
+
+    def gather(self, slot: int, table: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+        """``table[:, idx]`` of a ``(rows, I)`` table, into buffer ``slot``.
+
+        ``idx`` must lie in ``[0, I)`` (validated structures guarantee it;
+        :func:`check_rows` checks raw ones), so the ``clip`` mode, which
+        writes straight into the buffer without a bounds check, never
+        clips.
+        """
+        return table.take(idx, axis=1, mode="clip",
+                          out=self.array(slot, table.shape[0], idx.shape[0]))
+
+    def hadamard(self, tables: list[np.ndarray], cols: list[np.ndarray],
+                 vals: np.ndarray, rows: int) -> np.ndarray:
+        """``vals * prod_k tables[k][:, cols[k]]`` as a ``(rows, n)`` array.
+
+        The first gather is scaled by the values in place and the others
+        are multiplied into it, so at most two scratch arrays are live and
+        no all-ones matrix is materialised; elementwise multiplication is
+        commutative bit-for-bit.  With no tables (an order-1 tensor) the
+        result is the values repeated over the rank rows.
+        """
+        acc = None
+        for k, (table, idx) in enumerate(zip(tables, cols)):
+            gathered = self.gather(min(k, 1), table, idx)
+            if acc is None:
+                gathered *= vals
+                acc = gathered
+            else:
+                acc *= gathered
+        if acc is None:
+            acc = np.repeat(vals[None, :], rows, axis=0)
+        return acc
+
+
+def check_rows(idx: np.ndarray, rows: int, what: str) -> None:
+    """Raise unless every entry of ``idx`` addresses one of ``rows`` factor
+    rows: :meth:`Scratch.gather` does not bounds-check."""
+    if idx.shape[0] and (int(idx.min()) < 0 or int(idx.max()) >= rows):
+        raise DimensionError(f"{what} indexes outside [0, {rows})")
+
+
+def index_array(idx: np.ndarray) -> np.ndarray:
+    """``idx`` as the contiguous ``intp`` array ``np.take`` indexes with,
+    converted once per nonzero range rather than once per pass."""
+    return np.ascontiguousarray(idx, dtype=np.intp)
 
 
 def rank_major(factors: list[np.ndarray], dtype=None,
@@ -62,7 +193,7 @@ def rank_major(factors: list[np.ndarray], dtype=None,
     ``f.T`` of each result is the C-contiguous ``(R, I)`` view the kernels
     gather from.  Factors already in that layout and dtype pass through
     without a copy, so converting once per dispatch makes every kernel,
-    HB-CSF group, shard and slab below it copy-free.  ``factors[skip]``
+    HB-CSF group, shard and pass below it copy-free.  ``factors[skip]``
     (the target mode, which no kernel reads) is passed through untouched.
     """
     return [f if m == skip else np.asfortranarray(f, dtype=dtype)
@@ -142,6 +273,9 @@ def csf_mttkrp(
         )
     if validate:
         rank = _check_factors(csf.shape, factors, mode)
+        for level in range(1, csf.order):
+            check_rows(csf.fids[level], csf.shape[csf.mode_order[level]],
+                       f"CSF level {level}")
     else:
         rank = factors[mode].shape[1]
     rows = csf.shape[mode]
@@ -156,62 +290,56 @@ def csf_mttkrp(
     factors = rank_major(factors, compute_dtype, skip=mode)
     values = csf.values.astype(compute_dtype, copy=False)
 
-    slab = slab_nnz_for(rank, slab_nnz)
     # Leaf offset of every root-entry boundary: chain the pointer levels.
     off = csf.fptr[0]
     for ptr in csf.fptr[1:]:
         off = ptr[off]
-    nroot = csf.fids[0].shape[0]
-    start = 0
-    while start < nroot:
-        # Slab boundaries are the kernel's cooperative watchdog points:
-        # an ambient deadline (bench cell timeout, service budget) is
-        # polled here, so a slabbed kernel can be interrupted between
-        # slabs instead of hanging a whole pass.
-        fault_point("kernel.slab")
-        check_deadline("kernel.slab")
-        stop = int(np.searchsorted(off, off[start] + slab, side="right")) - 1
-        stop = min(max(stop, start + 1), nroot)
-        # Restrict every level to the [start, stop) root entries: pointer
-        # views are rebased to the slab, index/value views are plain slices.
-        lo, hi = start, stop
-        fids, fptr = [], []
-        for ptr in csf.fptr:
-            fids.append(csf.fids[len(fptr)][lo:hi])
-            seg = ptr[lo:hi + 1]
-            fptr.append(seg - seg[0])
-            lo, hi = int(ptr[lo]), int(ptr[hi])
-        fids.append(csf.fids[-1][lo:hi])
-        _tree_reduce(values[lo:hi], fids, fptr, csf.mode_order, factors,
-                     out, validate)
-        start = stop
+    scratch = Scratch(compute_dtype)
+    for start, stop, r0, r1 in kernel_passes(off, rank, slab_nnz):
+        if r0 == 0:
+            # Restrict every level to the [start, stop) root entries:
+            # pointer views are rebased to the range, index arrays copied
+            # once for every row block's gathers.
+            lo, hi = start, stop
+            fids, fptr = [], []
+            for ptr in csf.fptr:
+                fids.append(index_array(csf.fids[len(fptr)][lo:hi]))
+                seg = ptr[lo:hi + 1]
+                fptr.append(seg - seg[0])
+                lo, hi = int(ptr[lo]), int(ptr[hi])
+            fids.append(index_array(csf.fids[-1][lo:hi]))
+            vals = values[lo:hi]
+        tables = [None if m == mode else f.T[r0:r1]
+                  for m, f in enumerate(factors)]
+        _tree_reduce(vals, fids, fptr, csf.mode_order, tables,
+                     out.T[r0:r1], scratch, validate)
     return out
 
 
 def _tree_reduce(values: np.ndarray, fids: list, fptr: list,
-                 mode_order: tuple, factors: list[np.ndarray],
-                 out: np.ndarray, validate: bool) -> None:
-    """Bottom-up CSF tree reduction over one (slab of a) tensor,
-    accumulated into ``out``.  ``fptr`` entries must be rebased to start
-    at 0 and ``values``/``fids`` sliced consistently; ``factors`` are
-    F-contiguous (:func:`rank_major`)."""
+                 mode_order: tuple, tables: list, out_t: np.ndarray,
+                 scratch: Scratch, validate: bool) -> None:
+    """Bottom-up CSF tree reduction of one pass, accumulated into the
+    ``(rows, I)`` output rows ``out_t``.  ``fptr`` entries must be rebased
+    to start at 0 and ``values``/``fids`` sliced consistently; ``tables``
+    are the pass's ``(rows, I)`` factor rows by mode."""
     order = len(mode_order)
-    # Leaf level: val * A_leafmode[leaf index, :], gathered as an (R, nnz)
+    # Leaf level: val * A_leafmode[leaf index, :], gathered as a (rows, nnz)
     # array and scaled in place (multiplication is commutative bit-for-bit).
-    buf = np.take(factors[mode_order[-1]].T, fids[-1], axis=1)
+    buf = scratch.gather(0, tables[mode_order[-1]], fids[-1])
     buf *= values
 
     # Reduce up the tree, scaling by the factor of each internal level except
-    # the root.
+    # the root.  The reduction leaves the leaf buffer free for the gather.
     for level in range(order - 2, 0, -1):
         buf = segment_sum(buf, fptr[level], validate=validate)
-        buf *= np.take(factors[mode_order[level]].T, fids[level], axis=1)
+        buf *= scratch.gather(0, tables[mode_order[level]], fids[level])
 
     # Root level: reduce fibers (or sub-trees) into slices and write each
     # slice's row once.  Roots are unique except in an order-2 tree, whose
     # root level is the fiber level fbr-split may repeat.
     slice_vals = segment_sum(buf, fptr[0], validate=validate)
     if order == 2:
-        np.add.at(out, fids[0], slice_vals.T)
+        np.add.at(out_t.T, fids[0], slice_vals.T)
     else:
-        out.T[:, fids[0]] += slice_vals
+        out_t[:, fids[0]] += slice_vals

@@ -4,17 +4,17 @@ CSL (compressed slice) stores, for slices whose fibers all hold exactly one
 nonzero, a slice pointer that addresses the nonzeros directly — the fiber
 level is skipped.  Per nonzero the kernel forms the Hadamard product of the
 non-root factor rows (like COO) but the root index is read once per slice
-and the per-slice partial sums need no atomics.  The scratch is rank-major
-``(R, nnz)``, as in every kernel (see :mod:`repro.kernels.csf_mttkrp`).
+and the per-slice partial sums need no atomics.  The kernel runs in passes
+of rank rows times whole slices over a rank-major ``(rows, nnz)`` scratch,
+as every kernel does (see :mod:`repro.kernels.csf_mttkrp`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.deadline import check_deadline
-from repro.faults.hooks import fault_point
-from repro.kernels.csf_mttkrp import rank_major, segment_sum, slab_nnz_for
+from repro.kernels.csf_mttkrp import (Scratch, check_rows, index_array,
+                                      kernel_passes, rank_major, segment_sum)
 from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csl_mttkrp"]
@@ -56,9 +56,9 @@ def csl_mttkrp(
         when ``False`` — for trusted call sites executing a validated
         :class:`~repro.core.csl.CslGroup`.
     slab_nnz:
-        Nonzeros per reduction slab (``None`` derives it from
+        Nonzeros per pass (``None`` derives it from
         :data:`repro.kernels.csf_mttkrp.DEFAULT_SLAB_ELEMS` and the rank).
-        Slabs split only at slice boundaries, so the result is
+        Passes split only at slice boundaries, so the result is
         bit-identical to the single-pass evaluation.
     """
     num_slices = slice_inds.shape[0]
@@ -80,43 +80,23 @@ def csl_mttkrp(
     compute_dtype = out.dtype
     vals = values.astype(compute_dtype, copy=False)
     factors = rank_major(factors, compute_dtype, skip=mode_order[0])
+    if validate:
+        for col, m in enumerate(mode_order[1:]):
+            check_rows(rest_indices[:, col], factors[m].shape[0],
+                       f"rest_indices column {col}")
 
-    slab = slab_nnz_for(rank, slab_nnz)
-    start = 0
-    while start < num_slices:
-        # cooperative watchdog boundary (see csf_mttkrp's slab loop)
-        fault_point("kernel.slab")
-        check_deadline("kernel.slab")
-        stop = int(np.searchsorted(slice_ptr, slice_ptr[start] + slab,
-                                   side="right")) - 1
-        stop = min(max(stop, start + 1), num_slices)
-        lo, hi = int(slice_ptr[start]), int(slice_ptr[stop])
-        seg = slice_ptr[start:stop + 1]
-        _slice_reduce(vals[lo:hi], rest_indices[lo:hi], seg - seg[0],
-                      slice_inds[start:stop], factors, mode_order, rank,
-                      out, validate)
-        start = stop
+    scratch = Scratch(compute_dtype)
+    for start, stop, r0, r1 in kernel_passes(slice_ptr, rank, slab_nnz):
+        if r0 == 0:
+            lo, hi = int(slice_ptr[start]), int(slice_ptr[stop])
+            seg = slice_ptr[start:stop + 1]
+            ptr = seg - seg[0]
+            inds = index_array(slice_inds[start:stop])
+            cols = [index_array(rest_indices[lo:hi, c])
+                    for c in range(len(mode_order) - 1)]
+            range_vals = vals[lo:hi]
+        tables = [factors[m].T[r0:r1] for m in mode_order[1:]]
+        acc = scratch.hadamard(tables, cols, range_vals, r1 - r0)
+        # slices are unique, so each slice's row is written once
+        out.T[r0:r1, inds] += segment_sum(acc, ptr, validate=validate)
     return out
-
-
-def _slice_reduce(vals: np.ndarray, rest_indices: np.ndarray,
-                  slice_ptr: np.ndarray, slice_inds: np.ndarray,
-                  factors: list[np.ndarray], mode_order: tuple,
-                  rank: int, out: np.ndarray, validate: bool) -> None:
-    """One (slab of a) CSL group reduced into ``out``.  ``slice_ptr`` must
-    be rebased to start at 0 and the arrays sliced consistently."""
-    acc = None
-    for col, m in enumerate(mode_order[1:]):
-        gathered = np.take(factors[m].T, rest_indices[:, col], axis=1)
-        # Scale the first (R, nnz) gather by the values in place and
-        # multiply the rest into it, so at most two scratch arrays are ever
-        # live; elementwise multiplication is commutative bit-for-bit.
-        if acc is None:
-            gathered *= vals
-            acc = gathered
-        else:
-            acc *= gathered
-    if acc is None:  # order-1 group: no non-root factors to gather
-        acc = np.repeat(vals[None, :], rank, axis=0)
-    # slices are unique, so each slice's row is written once
-    out.T[:, slice_inds] += segment_sum(acc, slice_ptr, validate=validate)
