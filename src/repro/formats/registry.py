@@ -219,7 +219,7 @@ class FormatSpec:
             if dtype is not None and "dtype" in supported:
                 extras["dtype"] = dtype
             # One layout conversion per dispatch, in the kernel's compute
-            # dtype when that is known: every group, slab and kernel below
+            # dtype when that is known: every group, pass and kernel below
             # then reads the factors without copying them.
             compute = (out.dtype if out is not None else resolve_dtype(dtype)
                        if "dtype" in supported else None)

@@ -49,8 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.csf_mttkrp import (Scratch, index_array, kernel_passes,
-                                      rank_major)
+from repro.kernels.csf_mttkrp import Scratch, kernel_passes, rank_major
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
@@ -146,7 +145,7 @@ def coo_mttkrp(
         bounds = np.concatenate(
             ([0], np.flatnonzero(np.diff(target)) + 1, [nnz]))
     elif method == "add_at":
-        bounds = nnz                  # adds land in nonzero order anyway
+        bounds = np.arange(nnz + 1)   # adds land in nonzero order anyway
     else:
         bounds = np.array([0, nnz])   # a column sum covers every nonzero
     others = [m for m in range(tensor.order) if m != mode]
@@ -154,14 +153,14 @@ def coo_mttkrp(
     scratch = Scratch(out.dtype)
     for start, stop, r0, r1 in kernel_passes(bounds, rank):
         if r0 == 0:
-            if method == "add_at":
-                lo, hi = start, stop
-            else:
-                lo, hi = int(bounds[start]), int(bounds[stop])
+            lo, hi = int(bounds[start]), int(bounds[stop])
             sel = slice(lo, hi) if perm is None else perm[lo:hi]
-            cols = [index_array(tensor.indices[sel, m]) for m in others]
+            # contiguous intp columns: np.take's index form, made once for
+            # every row block's gathers
+            cols = [np.ascontiguousarray(tensor.indices[sel, m], dtype=np.intp)
+                    for m in others]
             vals = tensor.values[sel].astype(out.dtype, copy=False)
-            idx = index_array(target[lo:hi])
+            idx = np.ascontiguousarray(target[lo:hi], dtype=np.intp)
             if method == "sort":
                 runs = bounds[start:stop] - lo
                 heads = idx[runs]

@@ -48,7 +48,7 @@ from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csf_mttkrp", "segment_sum", "rank_major", "DEFAULT_SLAB_ELEMS",
            "PASS_ROWS", "slab_nnz_for", "pass_rows", "kernel_passes",
-           "Scratch", "check_rows", "index_array"]
+           "Scratch", "check_rows"]
 
 #: element budget of one kernel pass: the ``(rows, nonzeros)`` scratch
 #: arrays the CSF, CSL and COO kernels materialise hold at most this many
@@ -88,10 +88,10 @@ def kernel_passes(bounds, rank: int, slab_nnz: int | None = None):
 
     ``bounds`` is the nonzero offset of every point where the kernel may
     split its nonzeros, from 0 to nnz (root entries of a CSF tree, slices
-    of a CSL group, runs of a sorted target index); an ``int`` nnz lets
-    the passes split anywhere.  A pass covers the units ``[start, stop)``
-    — as many as fit in :func:`slab_nnz_for` nonzeros, at least one — and
-    the rank rows ``[r0, r1)`` (:func:`pass_rows`).  The passes over one
+    of a CSL group, runs of a sorted target index, or every nonzero).  A
+    pass covers the units ``[start, stop)`` — as many as fit in
+    :func:`slab_nnz_for` nonzeros, at least one — and the rank rows
+    ``[r0, r1)`` (:func:`pass_rows`).  The passes over one
     nonzero range are consecutive and the first has ``r0 == 0``, so a
     kernel prepares range-wide arrays once per range.
 
@@ -101,19 +101,13 @@ def kernel_passes(bounds, rank: int, slab_nnz: int | None = None):
     between passes, and counts one ``kernel.passes``.
     """
     slab = slab_nnz_for(rank, slab_nnz)
-    anywhere = isinstance(bounds, (int, np.integer))
-    units = int(bounds) if anywhere else bounds.shape[0] - 1
+    units = bounds.shape[0] - 1
     start = 0
     while start < units:
-        if anywhere:
-            stop = min(start + slab, units)
-            nnz = stop - start
-        else:
-            stop = int(np.searchsorted(bounds, bounds[start] + slab,
-                                       side="right")) - 1
-            stop = min(max(stop, start + 1), units)
-            nnz = int(bounds[stop] - bounds[start])
-        rows = pass_rows(rank, nnz)
+        stop = int(np.searchsorted(bounds, bounds[start] + slab,
+                                   side="right")) - 1
+        stop = min(max(stop, start + 1), units)
+        rows = pass_rows(rank, int(bounds[stop] - bounds[start]))
         for r0 in range(0, rank, rows):
             fault_point("kernel.slab")
             check_deadline("kernel.slab")
@@ -131,13 +125,6 @@ class Scratch:
         self.dtype = dtype
         self._bufs: dict[int, np.ndarray] = {}
 
-    def array(self, slot: int, rows: int, n: int) -> np.ndarray:
-        size = rows * n
-        buf = self._bufs.get(slot)
-        if buf is None or buf.shape[0] < size:
-            buf = self._bufs[slot] = np.empty(size, dtype=self.dtype)
-        return buf[:size].reshape(rows, n)
-
     def gather(self, slot: int, table: np.ndarray,
                idx: np.ndarray) -> np.ndarray:
         """``table[:, idx]`` of a ``(rows, I)`` table, into buffer ``slot``.
@@ -147,8 +134,13 @@ class Scratch:
         writes straight into the buffer without a bounds check, never
         clips.
         """
+        shape = (table.shape[0], idx.shape[0])
+        buf = self._bufs.get(slot)
+        if buf is None or buf.shape[0] < shape[0] * shape[1]:
+            buf = self._bufs[slot] = np.empty(shape[0] * shape[1],
+                                              dtype=self.dtype)
         return table.take(idx, axis=1, mode="clip",
-                          out=self.array(slot, table.shape[0], idx.shape[0]))
+                          out=buf[:shape[0] * shape[1]].reshape(shape))
 
     def hadamard(self, tables: list[np.ndarray], cols: list[np.ndarray],
                  vals: np.ndarray, rows: int) -> np.ndarray:
@@ -178,12 +170,6 @@ def check_rows(idx: np.ndarray, rows: int, what: str) -> None:
     rows: :meth:`Scratch.gather` does not bounds-check."""
     if idx.shape[0] and (int(idx.min()) < 0 or int(idx.max()) >= rows):
         raise DimensionError(f"{what} indexes outside [0, {rows})")
-
-
-def index_array(idx: np.ndarray) -> np.ndarray:
-    """``idx`` as the contiguous ``intp`` array ``np.take`` indexes with,
-    converted once per nonzero range rather than once per pass."""
-    return np.ascontiguousarray(idx, dtype=np.intp)
 
 
 def rank_major(factors: list[np.ndarray], dtype=None,
@@ -257,12 +243,13 @@ def csf_mttkrp(
         when ``False`` — for trusted internal re-invocations on
         builder-produced trees.
     slab_nnz:
-        Nonzeros per reduction slab (``None`` derives it from
-        :data:`DEFAULT_SLAB_ELEMS` and the rank).  Slabs split only at
-        root-entry boundaries, so every output row is produced by exactly
-        one slab and the result is bit-identical to the single-pass
-        evaluation regardless of the slab size; a single root entry larger
-        than the slab is evaluated whole.
+        Nonzeros per pass (``None`` derives it from
+        :data:`DEFAULT_SLAB_ELEMS` and the rank; the rank rows per pass
+        follow from the budget).  Passes split only at root-entry
+        boundaries, so every output row is produced by one nonzero range
+        and the result is bit-identical to the single-pass evaluation
+        regardless of the pass shape; a single root entry larger than
+        ``slab_nnz`` is one range.
     """
     if mode is None:
         mode = csf.root_mode
@@ -298,16 +285,19 @@ def csf_mttkrp(
     for start, stop, r0, r1 in kernel_passes(off, rank, slab_nnz):
         if r0 == 0:
             # Restrict every level to the [start, stop) root entries:
-            # pointer views are rebased to the range, index arrays copied
-            # once for every row block's gathers.
+            # pointer views are rebased to the range; index arrays are made
+            # contiguous intp (np.take's index form) once for every row
+            # block's gathers.
             lo, hi = start, stop
             fids, fptr = [], []
             for ptr in csf.fptr:
-                fids.append(index_array(csf.fids[len(fptr)][lo:hi]))
+                fids.append(np.ascontiguousarray(csf.fids[len(fptr)][lo:hi],
+                                                 dtype=np.intp))
                 seg = ptr[lo:hi + 1]
                 fptr.append(seg - seg[0])
                 lo, hi = int(ptr[lo]), int(ptr[hi])
-            fids.append(index_array(csf.fids[-1][lo:hi]))
+            fids.append(np.ascontiguousarray(csf.fids[-1][lo:hi],
+                                             dtype=np.intp))
             vals = values[lo:hi]
         tables = [None if m == mode else f.T[r0:r1]
                   for m, f in enumerate(factors)]

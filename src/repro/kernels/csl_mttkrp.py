@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.csf_mttkrp import (Scratch, check_rows, index_array,
-                                      kernel_passes, rank_major, segment_sum)
+from repro.kernels.csf_mttkrp import (Scratch, check_rows, kernel_passes,
+                                      rank_major, segment_sum)
 from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csl_mttkrp"]
@@ -91,8 +91,10 @@ def csl_mttkrp(
             lo, hi = int(slice_ptr[start]), int(slice_ptr[stop])
             seg = slice_ptr[start:stop + 1]
             ptr = seg - seg[0]
-            inds = index_array(slice_inds[start:stop])
-            cols = [index_array(rest_indices[lo:hi, c])
+            inds = slice_inds[start:stop]
+            # contiguous intp columns: np.take's index form, made once for
+            # every row block's gathers
+            cols = [np.ascontiguousarray(rest_indices[lo:hi, c], dtype=np.intp)
                     for c in range(len(mode_order) - 1)]
             range_vals = vals[lo:hi]
         tables = [factors[m].T[r0:r1] for m in mode_order[1:]]

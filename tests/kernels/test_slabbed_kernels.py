@@ -126,8 +126,8 @@ class TestPassShapes:
 
     def test_split_anywhere_and_oversized_unit(self, monkeypatch):
         monkeypatch.setattr(kern, "DEFAULT_SLAB_ELEMS", 8)
-        # an int bound splits at every nonzero: 2 nonzeros x 4 rows
-        assert passes_of(10, 4)[:2] == [(0, 2, 0, 4), (2, 4, 0, 4)]
+        # a bound at every nonzero: 2 nonzeros x 4 rows
+        assert passes_of(np.arange(11), 4)[:2] == [(0, 2, 0, 4), (2, 4, 0, 4)]
         # one unit over budget is one range, evaluated a row at a time
         got = passes_of(np.array([0, 50]), 3)
         assert got == [(0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3)]
