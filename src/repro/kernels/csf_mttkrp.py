@@ -58,9 +58,10 @@ __all__ = ["csf_mttkrp", "segment_sum", "rank_major", "DEFAULT_SLAB_ELEMS",
 DEFAULT_SLAB_ELEMS = 1 << 22
 
 #: rank rows of a pass whose nonzero range fills the budget: the range is
-#: capped at ``DEFAULT_SLAB_ELEMS // min(R, PASS_ROWS)`` nonzeros, which
-#: keeps the per-pass overhead of the reductions and the output scatter
-#: small against the gathers.
+#: capped at ``DEFAULT_SLAB_ELEMS // min(R, PASS_ROWS)`` nonzeros (2^20 at
+#: R = 32).  That is long enough to stream a gathered factor row once per
+#: ~10^6 nonzeros, and keeps the per-range index copies (8 B per nonzero
+#: and gathered mode) at a fraction of the scratch budget.
 PASS_ROWS = 4
 
 

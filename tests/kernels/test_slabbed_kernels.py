@@ -82,15 +82,6 @@ def passes_of(bounds, rank, slab_nnz=None):
 
 
 class TestPassShapes:
-    def test_slab_auto_sizing_and_validation(self):
-        assert kern.slab_nnz_for(4) == kern.DEFAULT_SLAB_ELEMS // 4
-        assert kern.slab_nnz_for(32) == kern.DEFAULT_SLAB_ELEMS // kern.PASS_ROWS
-        assert kern.slab_nnz_for(2) == kern.DEFAULT_SLAB_ELEMS // 2
-        assert kern.slab_nnz_for(4, 128) == 128
-        assert kern.slab_nnz_for(10**9) >= 1
-        with pytest.raises(TensorFormatError):
-            kern.slab_nnz_for(4, 0)
-
     @pytest.mark.parametrize("rank", RANKS)
     @pytest.mark.parametrize("elems", [1, 7, 11, 111, 10**9])
     def test_passes_tile_units_and_rank_rows(self, monkeypatch, rank, elems):
@@ -102,7 +93,8 @@ class TestPassShapes:
         # the ranges tile the units in order, each at least one unit
         spans = sorted(ranges)
         assert spans[0][0] == 0 and spans[-1][1] == bounds.shape[0] - 1
-        assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(spans, spans[1:]))
+        assert all(a[1] == b[0] and a[0] < a[1]
+                   for a, b in zip(spans, spans[1:]))
         for (start, stop), blocks in ranges.items():
             # the row blocks of a range tile [0, rank), first one at 0
             assert blocks[0][0] == 0 and blocks[-1][1] == rank
@@ -124,7 +116,7 @@ class TestPassShapes:
         monkeypatch.setattr(kern, "DEFAULT_SLAB_ELEMS", 10**9)
         assert passes_of(bounds, 32) == [(0, 10, 0, 32)]
 
-    def test_split_anywhere_and_oversized_unit(self, monkeypatch):
+    def test_every_nonzero_bound_and_oversized_unit(self, monkeypatch):
         monkeypatch.setattr(kern, "DEFAULT_SLAB_ELEMS", 8)
         # a bound at every nonzero: 2 nonzeros x 4 rows
         assert passes_of(np.arange(11), 4)[:2] == [(0, 2, 0, 4), (2, 4, 0, 4)]
@@ -159,7 +151,7 @@ def csl_tensor():
                      rng.standard_normal(900), (60, 45, 35))
 
 
-class TestCsfPasses:
+class TestCsfSlabs:
     @pytest.mark.parametrize("budget", CASES, ids=CASE_IDS, indirect=True)
     def test_bit_identical_across_budgets(self, tensor, budget):
         factors = factors_for(tensor.shape, budget)
@@ -176,6 +168,14 @@ class TestCsfPasses:
         got = kern.csf_mttkrp(csf, factors, slab_nnz=slab)
         assert_same_bits(got, want)
 
+    def test_every_root_mode(self, tensor):
+        factors = factors_for(tensor.shape, 5)
+        for mode in range(tensor.order):
+            csf = build_csf(tensor, mode)
+            want = kern.csf_mttkrp(csf, factors, slab_nnz=10**9)
+            got = kern.csf_mttkrp(csf, factors, slab_nnz=13)
+            assert_same_bits(got, want)
+
     def test_oversized_slice_evaluated_whole(self):
         # one slice owns every nonzero: the range floor is one root entry,
         # so slab_nnz=1 still evaluates it in one range (a row at a time)
@@ -186,21 +186,41 @@ class TestCsfPasses:
         want = kern.csf_mttkrp(csf, factors, slab_nnz=10**9)
         assert_same_bits(got, want)
 
+    def test_slab_auto_sizing_and_validation(self):
+        assert kern.slab_nnz_for(4) == kern.DEFAULT_SLAB_ELEMS // 4
+        assert (kern.slab_nnz_for(32)
+                == kern.DEFAULT_SLAB_ELEMS // kern.PASS_ROWS)
+        assert kern.slab_nnz_for(2) == kern.DEFAULT_SLAB_ELEMS // 2
+        assert kern.slab_nnz_for(4, 128) == 128
+        assert kern.slab_nnz_for(10**9) >= 1
+        with pytest.raises(TensorFormatError):
+            kern.slab_nnz_for(4, 0)
 
-class TestCslPasses:
+
+def csl_call(t, group, factors, rank, slab=None):
+    out = np.zeros((t.shape[0], rank))
+    return csl_mttkrp(group.slice_ptr, group.slice_inds, group.rest_indices,
+                      group.values, factors, group.mode_order, out,
+                      slab_nnz=slab)
+
+
+class TestCslSlabs:
+    @pytest.mark.parametrize("slab", [1, 5, 37, 10**9])
+    def test_bit_identical_across_slab_sizes(self, slab):
+        t = csl_tensor()
+        group = build_csl_group(build_csf(t, 0))
+        factors = factors_for(t.shape, 5)
+        want = np.zeros((t.shape[0], 5))
+        group.mttkrp(factors, want)
+        assert_same_bits(csl_call(t, group, factors, 5, slab), want)
+
     @pytest.mark.parametrize("budget", CASES, ids=CASE_IDS, indirect=True)
-    @pytest.mark.parametrize("slab", [None, 1, 37])
-    def test_bit_identical_across_budgets(self, budget, slab):
+    def test_bit_identical_across_budgets(self, budget):
         t = csl_tensor()
         group = build_csl_group(build_csf(t, 0))
         factors = factors_for(t.shape, budget)
-        want = single_pass(
-            lambda: group.mttkrp(factors, np.zeros((t.shape[0], budget))))
-        got = csl_mttkrp(group.slice_ptr, group.slice_inds,
-                         group.rest_indices, group.values, factors,
-                         group.mode_order, np.zeros((t.shape[0], budget)),
-                         slab_nnz=slab)
-        assert_same_bits(got, want)
+        want = single_pass(lambda: csl_call(t, group, factors, budget))
+        assert_same_bits(csl_call(t, group, factors, budget), want)
 
     def test_out_of_range_index_rejected(self):
         t = csl_tensor()
@@ -217,7 +237,7 @@ def small_coo():
     return random_coo((20, 15, 12), 400, default_rng(5))
 
 
-class TestCooPasses:
+class TestCooSlabs:
     @pytest.mark.parametrize("budget", CASES, ids=CASE_IDS, indirect=True)
     @pytest.mark.parametrize("method", ["add_at", "sort", "bincount"])
     def test_bit_identical_across_budgets(self, budget, method):
@@ -240,7 +260,21 @@ class TestCooPasses:
         assert_same_bits(got, want)
 
 
-class TestHbcsfPasses:
+class TestHbcsfEndToEnd:
+    def test_auto_slab_matches_explicit_single_pass(self):
+        t = random_coo((50, 40, 30), 3_000, default_rng(17))
+        hb = build_hbcsf(t, 0)
+        factors = factors_for(t.shape, 5)
+        want = hb.mttkrp(factors)
+        # force multi-pass evaluation through the public path
+        orig = kern.DEFAULT_SLAB_ELEMS
+        kern.DEFAULT_SLAB_ELEMS = 5 * 100
+        try:
+            got = hb.mttkrp(factors)
+        finally:
+            kern.DEFAULT_SLAB_ELEMS = orig
+        assert_same_bits(got, want)
+
     @pytest.mark.parametrize("budget", CASES, ids=CASE_IDS, indirect=True)
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     def test_bit_identical_across_budgets(self, budget, backend):
@@ -305,4 +339,5 @@ def test_scratch_stays_within_budget(scratch_tensor, kernel):
     itemsize = np.dtype(np.float64).itemsize
     limit = (2 * kern.DEFAULT_SLAB_ELEMS * itemsize + out.nbytes
              + 2 * (t.indices.nbytes + t.values.nbytes))
-    assert peak <= limit, f"{kernel}: {peak / 2**20:.1f} MB > {limit / 2**20:.1f} MB"
+    assert peak <= limit, (
+        f"{kernel}: {peak / 2**20:.1f} MB > {limit / 2**20:.1f} MB")
