@@ -92,9 +92,9 @@ def kernel_passes(bounds, rank: int, slab_nnz: int | None = None):
     of a CSL group, runs of a sorted target index, or every nonzero).  A
     pass covers the units ``[start, stop)`` — as many as fit in
     :func:`slab_nnz_for` nonzeros, at least one — and the rank rows
-    ``[r0, r1)`` (:func:`pass_rows`).  The passes over one
-    nonzero range are consecutive and the first has ``r0 == 0``, so a
-    kernel prepares range-wide arrays once per range.
+    ``[r0, r1)`` (:func:`pass_rows`).  The passes over one nonzero range
+    are consecutive and the first has ``r0 == 0``, so a kernel prepares
+    range-wide arrays once per range.
 
     Pass boundaries are the kernels' fault point and cooperative watchdog:
     each pass fires ``kernel.slab``, polls the ambient deadline (bench
