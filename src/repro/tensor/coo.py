@@ -18,9 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.telemetry import counter_add
 from repro.util.errors import DimensionError, ValidationError
 
-__all__ = ["CooTensor"]
+__all__ = ["CooTensor", "encode_coordinates", "run_starts", "sum_runs"]
 
 #: dtype used for indices.  The paper uses 32-bit unsigned integers; we keep
 #: a signed 64-bit working dtype internally (NumPy index arithmetic) and
@@ -93,7 +94,7 @@ class CooTensor:
         if validate:
             _validate(idx, vals, shape)
         if sum_duplicates and idx.shape[0]:
-            idx, vals = _sum_duplicates(idx, vals, shape)
+            idx, vals = _sorted_unique(idx, vals, shape, tuple(range(len(shape))))
 
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
@@ -178,29 +179,37 @@ class CooTensor:
 
         ``mode_order`` gives the significance of the key: the first listed
         mode is the most significant.  This is the ordering CSF construction
-        relies on (root mode first).
+        relies on (root mode first).  The sort is stable — duplicate
+        coordinates keep their order of appearance — so the permutation is
+        exactly ``np.lexsort``'s.
         """
         if self.nnz == 0:
             return self
-        if mode_order is None:
-            mode_order = tuple(range(self.order))
-        mode_order = tuple(int(m) for m in mode_order)
-        if sorted(mode_order) != list(range(self.order)):
-            raise DimensionError(
-                f"{mode_order} is not a permutation of 0..{self.order - 1}"
-            )
-        # np.lexsort uses the *last* key as primary; reverse accordingly.
-        keys = tuple(self.indices[:, m] for m in reversed(mode_order))
-        order = np.lexsort(keys)
-        return CooTensor(self.indices[order], self.values[order], self.shape,
+        perm, _ = _sort_runs(self.indices, self.shape,
+                             self._check_mode_order(mode_order))
+        return CooTensor(_take_rows(self.indices, perm),
+                         _take_rows(self.values, perm), self.shape,
                          validate=False)
 
-    def deduplicated(self) -> "CooTensor":
-        """Return a copy with duplicate coordinates summed."""
+    def sorted_unique(self, mode_order: Sequence[int] | None = None) -> "CooTensor":
+        """Return a copy sorted like :meth:`sorted_by_modes` with duplicate
+        coordinates summed.
+
+        One sort of the packed coordinate keys, then one ``np.bincount``
+        over the runs of equal keys: each duplicate group sums its values
+        in order of appearance.  The result is the same whatever
+        ``mode_order`` is, up to the order of its rows.
+        """
         if self.nnz == 0:
             return self
-        idx, vals = _sum_duplicates(self.indices, self.values, self.shape)
+        idx, vals = _sorted_unique(self.indices, self.values, self.shape,
+                                   self._check_mode_order(mode_order))
         return CooTensor(idx, vals, self.shape, validate=False)
+
+    def deduplicated(self) -> "CooTensor":
+        """Return a copy with duplicate coordinates summed, sorted in natural
+        mode order."""
+        return self.sorted_unique()
 
     def with_values(self, values: np.ndarray) -> "CooTensor":
         values = np.asarray(values, dtype=VALUE_DTYPE).ravel()
@@ -267,6 +276,17 @@ class CooTensor:
         """Number of non-empty fibers when rooted at ``mode`` (paper's ``F``)."""
         return int(self.fiber_keys(mode)[1].shape[0])
 
+    def _check_mode_order(self, mode_order: Sequence[int] | None
+                          ) -> tuple[int, ...]:
+        if mode_order is None:
+            return tuple(range(self.order))
+        mode_order = tuple(int(m) for m in mode_order)
+        if sorted(mode_order) != list(range(self.order)):
+            raise DimensionError(
+                f"{mode_order} is not a permutation of 0..{self.order - 1}"
+            )
+        return mode_order
+
     def _check_mode(self, mode: int) -> int:
         mode = int(mode)
         if not 0 <= mode < self.order:
@@ -308,37 +328,107 @@ def _validate(indices: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -
         raise ValidationError("values must be finite (no NaN / inf)")
 
 
-def _sum_duplicates(
-    indices: np.ndarray, values: np.ndarray, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate coordinates, summing their values."""
-    # Encode each coordinate as a single integer key (shapes in this package
-    # are far below the int64 overflow point; guard anyway).
-    key = np.zeros(indices.shape[0], dtype=np.int64)
-    scale = 1
-    for m in range(len(shape) - 1, -1, -1):
-        key += indices[:, m] * scale
-        scale *= int(shape[m])
-        if scale < 0:  # pragma: no cover - overflow guard
-            return _sum_duplicates_slow(indices, values)
-    uniq, inverse = np.unique(key, return_inverse=True)
-    out_vals = np.bincount(inverse, weights=values, minlength=uniq.shape[0])
-    # Decode representative indices.
-    first = np.zeros(uniq.shape[0], dtype=np.int64)
-    first[inverse[::-1]] = np.arange(indices.shape[0] - 1, -1, -1)
-    return indices[first], out_vals.astype(VALUE_DTYPE)
+def encode_coordinates(indices: np.ndarray, shape: Sequence[int],
+                       mode_order: Sequence[int]) -> np.ndarray:
+    """Encode each coordinate row as one int64 sort key.
+
+    ``mode_order[0]`` is the most significant digit, so the order of the
+    keys is the lexicographic order of the rows by ``mode_order``, and two
+    rows share a key exactly when they share coordinates.  Shapes whose
+    cell count reaches ``2**63`` cannot be encoded and raise
+    :class:`ValidationError`: the in-memory sorts fall back to
+    ``np.lexsort`` for them, the out-of-core sort refuses them up front.
+    """
+    if not _keys_fit(shape):
+        raise ValidationError(
+            f"packed coordinate keys require prod(shape) < 2**63, "
+            f"got shape {tuple(shape)}")
+    key = indices[:, mode_order[0]].astype(np.int64, copy=True)
+    for m in mode_order[1:]:
+        np.multiply(key, int(shape[m]), out=key)
+        np.add(key, indices[:, m], out=key)
+    return key
 
 
-def _sum_duplicates_slow(
-    indices: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - huge-shape fallback
-    seen: dict[tuple[int, ...], float] = {}
-    order: list[tuple[int, ...]] = []
-    for row, v in zip(map(tuple, indices), values):
-        if row not in seen:
-            seen[row] = 0.0
-            order.append(row)
-        seen[row] += float(v)
-    idx = np.array(order, dtype=INDEX_DTYPE)
-    vals = np.array([seen[r] for r in order], dtype=VALUE_DTYPE)
-    return idx, vals
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Flags of a sorted key stream: true where a run of equal keys starts."""
+    boundary = np.empty(keys.shape[0], dtype=bool)
+    boundary[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+    return boundary
+
+
+def sum_runs(boundary: np.ndarray, values: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the runs of a sorted stream.
+
+    ``boundary[i]`` is true where a new run (one distinct coordinate)
+    starts, as :func:`run_starts` flags it; ``boundary[0]`` must be true.
+    Returns the start position and the value sum of every run.  Sums come
+    from one ``np.bincount`` over the run ids, which adds each run's
+    values left to right starting from ``0.0`` — so a lone ``-0.0`` sums
+    to ``0.0``.  The in-memory
+    :meth:`CooTensor.sorted_unique` and the out-of-core sort both dedup
+    through here, which keeps them bit-identical.
+    """
+    starts = np.flatnonzero(boundary)
+    group = np.cumsum(boundary)
+    group -= 1
+    sums = np.bincount(group, weights=values, minlength=starts.shape[0])
+    return starts, sums
+
+
+def _keys_fit(shape: Sequence[int]) -> bool:
+    total = 1
+    for s in shape:
+        total *= int(s)
+    return total < 2**63
+
+
+def _sort_runs(indices: np.ndarray, shape: Sequence[int],
+               mode_order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort permutation of ``indices`` by ``mode_order`` and the
+    run-start flags of the sorted rows (see :func:`sum_runs`).
+
+    The packed keys are sorted with the default (fastest) ``np.argsort``:
+    when every key is distinct all sort kinds return the same permutation,
+    so only a stream whose sorted keys repeat is sorted again with
+    ``kind="stable"``.  A shape too large to pack falls back to
+    ``np.lexsort`` over the index columns and counts one
+    ``tensor.sort.fallback``.
+    """
+    if not _keys_fit(shape):
+        counter_add("tensor.sort.fallback")
+        # np.lexsort takes the *last* key as primary; reverse accordingly.
+        perm = np.lexsort(tuple(indices[:, m] for m in reversed(mode_order)))
+        boundary = np.zeros(perm.shape[0], dtype=bool)
+        for m in mode_order:
+            boundary |= run_starts(indices[perm, m])
+        return perm, boundary
+    key = encode_coordinates(indices, shape, mode_order)
+    perm = np.argsort(key)
+    boundary = run_starts(key[perm])
+    if not boundary.all():
+        # equal keys sort to the same place under every kind, so the run
+        # flags stand; only the order inside each run must become stable
+        perm = np.argsort(key, kind="stable")
+    return perm, boundary
+
+
+def _sorted_unique(indices: np.ndarray, values: np.ndarray,
+                   shape: Sequence[int], mode_order: tuple[int, ...]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``indices``/``values`` sorted by ``mode_order`` with duplicates
+    summed (``indices`` non-empty)."""
+    perm, boundary = _sort_runs(indices, shape, mode_order)
+    starts, sums = sum_runs(boundary, _take_rows(values, perm))
+    if starts.shape[0] < perm.shape[0]:
+        perm = perm[starts]
+    return _take_rows(indices, perm), sums
+
+
+def _take_rows(arr: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """``arr[perm]`` for in-range row positions: ``take`` along rows is
+    ~4x faster than fancy indexing on an ``(nnz, order)`` array, and
+    ``mode="clip"`` skips the bounds check."""
+    return arr.take(perm, axis=0, mode="clip")

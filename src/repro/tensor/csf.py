@@ -229,8 +229,9 @@ class _CsfAssembler:
     Pass 1 (:meth:`count`) runs the boundary flags over every chunk to size
     each level; :meth:`allocate` then creates the exact ``fids``/``fptr``
     arrays; pass 2 (:meth:`fill`) re-runs the flags and writes each chunk's
-    slab.  A caller that already knows the level sizes (HB-CSF's partition
-    scan) presets ``node_counts``/``nnz`` and skips pass 1.
+    slab.  A one-chunk stream hands pass 1's flags to pass 2 instead.  A
+    caller that already knows the level sizes (HB-CSF's partition scan)
+    presets ``node_counts``/``nnz`` and skips pass 1.
     """
 
     def __init__(self, shape: tuple[int, ...],
@@ -242,14 +243,16 @@ class _CsfAssembler:
         self.nnz = 0
         self._prev: np.ndarray | None = None
 
-    def count(self, idx: np.ndarray) -> None:
+    def count(self, idx: np.ndarray) -> list[np.ndarray] | None:
+        """Add one chunk to the level sizes; returns its boundary flags."""
         if idx.shape[0] == 0:
-            return
+            return None
         bounds = _level_bounds(idx, self.mode_order, self._prev)
         for level, b in enumerate(bounds):
             self.node_counts[level] += int(np.count_nonzero(b))
         self.nnz += int(idx.shape[0])
         self._prev = np.array(idx[-1])
+        return bounds
 
     def allocate(self) -> None:
         self._fids = [np.empty(c, dtype=INDEX_DTYPE)
@@ -262,11 +265,15 @@ class _CsfAssembler:
         self._leaf_pos = 0
         self._prev = None
 
-    def fill(self, idx: np.ndarray, vals: np.ndarray) -> None:
+    def fill(self, idx: np.ndarray, vals: np.ndarray,
+             bounds: list[np.ndarray] | None = None) -> None:
+        """Write one chunk; ``bounds`` reuses the flags :meth:`count`
+        returned for this chunk when it was the first of its stream."""
         n = idx.shape[0]
         if n == 0:
             return
-        bounds = _level_bounds(idx, self.mode_order, self._prev)
+        if bounds is None:
+            bounds = _level_bounds(idx, self.mode_order, self._prev)
         flat = np.ascontiguousarray(idx).reshape(-1)
         starts = np.flatnonzero(bounds[0])
         for level in range(self.order - 1):
@@ -315,15 +322,16 @@ def _sorted_chunks(tensor, mode_order: tuple[int, ...]
     """The deduplicated nonzeros of ``tensor`` sorted by ``mode_order``,
     as a function that starts one pass over them.
 
-    An in-memory :class:`CooTensor` is a stream of one chunk.  A sharded
-    tensor (anything with a true ``is_sharded``, see
+    An in-memory :class:`CooTensor` is a stream of one chunk, made by one
+    packed-key sort-and-sum pass (:meth:`CooTensor.sorted_unique`).  A
+    sharded tensor (anything with a true ``is_sharded``, see
     :class:`~repro.tensor.shards.ShardedCooTensor`) streams the shards of
-    its cached sorted view one at a time; that view sums duplicates exactly
-    like :meth:`CooTensor.deduplicated`, so both give the same bits.
+    its cached sorted view one at a time; that view sorts the same keys and
+    sums duplicates through the same helper, so both give the same bits.
     """
     if getattr(tensor, "is_sharded", False):
         return tensor.sorted_view(mode_order, dedup=True).iter_chunks
-    chunk = tensor.deduplicated().sorted_by_modes(mode_order)
+    chunk = tensor.sorted_unique(mode_order)
     return lambda: (chunk,)
 
 
@@ -357,9 +365,16 @@ def build_csf(tensor: CooTensor, root_mode: int = 0,
 
     chunks = _sorted_chunks(tensor, mode_order)
     asm = _CsfAssembler(tensor.shape, mode_order)
-    for chunk in chunks():
-        asm.count(chunk.indices)
-    asm.allocate()
-    for chunk in chunks():
-        asm.fill(chunk.indices, chunk.values)
+    if getattr(tensor, "is_sharded", False):
+        for chunk in chunks():
+            asm.count(chunk.indices)
+        asm.allocate()
+        for chunk in chunks():
+            asm.fill(chunk.indices, chunk.values)
+    else:
+        # one chunk: its boundary flags serve both passes
+        (chunk,) = chunks()
+        bounds = asm.count(chunk.indices)
+        asm.allocate()
+        asm.fill(chunk.indices, chunk.values, bounds)
     return asm.finish()

@@ -14,11 +14,11 @@ cache keys sharded inputs by — depends only on the logical nonzero stream
 and the shard size, never on append batching.
 
 :func:`sort_sharded` is the out-of-core companion of
-``CooTensor.deduplicated().sorted_by_modes(...)``: an external merge sort
-over int64-encoded coordinates whose stable runs/merges preserve the
-original appearance order of duplicate coordinates, and whose duplicate
-sums go through ``np.bincount`` exactly like
-``repro.tensor.coo._sum_duplicates`` — the CSF-family builders, which
+``CooTensor.sorted_unique(...)``: an external merge sort over the same
+int64-encoded coordinates (:func:`~repro.tensor.coo.encode_coordinates`)
+whose stable runs/merges preserve the original appearance order of
+duplicate coordinates, and whose duplicate sums go through the same
+:func:`~repro.tensor.coo.sum_runs` — the CSF-family builders, which
 stream a sharded input through its sorted view, rely on this to stay
 bit-identical to the in-memory builds.
 """
@@ -37,7 +37,10 @@ import numpy as np
 
 from repro.faults.hooks import fault_point
 from repro.telemetry import counter_add, stage
-from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_ordering
+from repro.tensor.coo import (
+    CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_ordering, encode_coordinates,
+    run_starts, sum_runs,
+)
 from repro.util.errors import DimensionError, ShardIntegrityError, ValidationError
 from repro.util.safe_io import atomic_save_npy, atomic_write_json
 
@@ -98,29 +101,6 @@ def _sha256_array(arr: np.ndarray) -> str:
 
 def _canonical_manifest_bytes(manifest: dict) -> bytes:
     return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-
-
-def encode_coordinates(indices: np.ndarray, shape: Sequence[int],
-                       mode_order: Sequence[int]) -> np.ndarray:
-    """Encode each coordinate row as one int64 sort key.
-
-    ``mode_order[0]`` is the most significant digit — the ordering of the
-    keys equals the lexicographic ordering ``sorted_by_modes(mode_order)``
-    uses.  Shapes whose cell count reaches ``2**63`` cannot be encoded; the
-    in-memory path has a slow dict fallback for them, the out-of-core path
-    refuses up front.
-    """
-    total = 1
-    for s in shape:
-        total *= int(s)
-    if total >= 2**63:
-        raise ValidationError(
-            f"sharded sort requires prod(shape) < 2**63, got shape {tuple(shape)}")
-    key = indices[:, mode_order[0]].astype(np.int64, copy=True)
-    for m in mode_order[1:]:
-        np.multiply(key, int(shape[m]), out=key)
-        np.add(key, indices[:, m], out=key)
-    return key
 
 
 class ShardedCooWriter:
@@ -722,8 +702,8 @@ class _DedupSink:
 
     The last key group of every pushed block is held back (raw rows, never
     partial sums) and prepended to the next block, so each group is summed
-    in one contiguous left-to-right ``np.bincount`` pass — the exact
-    accumulation order of the in-memory ``_sum_duplicates``.
+    by one :func:`~repro.tensor.coo.sum_runs` over contiguous rows — the
+    accumulation order of the in-memory :meth:`CooTensor.sorted_unique`.
     """
 
     def __init__(self, writer: ShardedCooWriter, dedup: bool) -> None:
@@ -743,29 +723,21 @@ class _DedupSink:
             vals = np.concatenate([cvals, vals])
             keys = np.concatenate([ckeys, keys])
             self._carry = None
-        n = keys.shape[0]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(boundary)
         # hold back the (possibly incomplete) last group
-        last = int(starts[-1])
+        last = int(np.searchsorted(keys, keys[-1]))
         self._carry = (idx[last:].copy(), vals[last:].copy(),
                        keys[last:].copy())
-        if last == 0:
-            return
-        emit_starts = starts[:-1]
-        group = np.cumsum(boundary[:last]) - 1
-        sums = np.bincount(group, weights=vals[:last],
-                           minlength=emit_starts.shape[0])
-        self._writer.append(idx[emit_starts], sums, validate=False)
+        if last:
+            self._emit(idx[:last], vals[:last], keys[:last])
+
+    def _emit(self, idx: np.ndarray, vals: np.ndarray,
+              keys: np.ndarray) -> None:
+        starts, sums = sum_runs(run_starts(keys), vals)
+        self._writer.append(idx[starts], sums, validate=False)
 
     def close(self) -> None:
         if self._carry is not None:
-            idx, vals, _ = self._carry
-            sums = np.bincount(np.zeros(vals.shape[0], dtype=np.int64),
-                               weights=vals, minlength=1)
-            self._writer.append(idx[:1], sums, validate=False)
+            self._emit(*self._carry)
             self._carry = None
 
 

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.tensor.coo import CooTensor
 from repro.tensor.random_gen import random_coo, power_law_tensor, PowerLawSpec
 from repro.util.prng import default_rng
+
+# Hypothesis profiles, picked by HYPOTHESIS_PROFILE.  "default" keeps
+# hypothesis's own example count; "ci-long" is the long schedule CI runs
+# with a pinned --hypothesis-seed.  A test's own @settings still wins.
+settings.register_profile("default", max_examples=100)
+settings.register_profile("ci-long", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor, csf_mode_ordering
 from repro.util.errors import DimensionError, ValidationError
 
@@ -68,6 +69,53 @@ class TestConstruction:
                       (2, 2, 2), sum_duplicates=True)
         assert t.nnz == 2
         assert t.to_dense()[0, 0, 0] == pytest.approx(3.5)
+
+
+class TestUnpackableShape:
+    """prod(shape) >= 2**63: no int64 key, so the sorts take np.lexsort.
+
+    A packed key would alias (0, 0, 0) and (2**30, 0, 0) here and merge
+    two distinct nonzeros into one.
+    """
+
+    SHAPE = (2**32, 2**32, 4)
+    INDICES = [[2**30, 0, 0], [0, 0, 0], [2**30, 0, 0]]
+    VALUES = [2.0, 1.0, 0.5]
+
+    def tensor(self):
+        return CooTensor(self.INDICES, self.VALUES, self.SHAPE)
+
+    def fallbacks(self, fn):
+        before = counters_snapshot()
+        out = fn()
+        return out, counters_delta(before).get("tensor.sort.fallback", 0)
+
+    def test_sorted_unique_keeps_distinct_coordinates(self):
+        t, fallbacks = self.fallbacks(
+            lambda: self.tensor().sorted_unique((0, 1, 2)))
+        assert fallbacks == 1
+        assert t.indices.tolist() == [[0, 0, 0], [2**30, 0, 0]]
+        assert t.values.tolist() == [1.0, 2.5]
+
+    def test_deduplicated_and_constructor_keep_distinct_coordinates(self):
+        t = CooTensor([[0, 0, 0], [2**30, 0, 0]], [1.0, 2.0], self.SHAPE)
+        assert t.deduplicated().nnz == 2
+        summed = CooTensor([[0, 0, 0], [2**30, 0, 0]], [1.0, 2.0],
+                           self.SHAPE, sum_duplicates=True)
+        assert summed.indices.tolist() == [[0, 0, 0], [2**30, 0, 0]]
+        assert summed.values.tolist() == [1.0, 2.0]
+
+    def test_sorted_by_modes_is_stable_lexsort(self):
+        t, fallbacks = self.fallbacks(
+            lambda: self.tensor().sorted_by_modes((2, 1, 0)))
+        assert fallbacks == 1
+        assert t.indices.tolist() == [[0, 0, 0], [2**30, 0, 0],
+                                      [2**30, 0, 0]]
+        assert t.values.tolist() == [1.0, 2.0, 0.5]
+
+    def test_packable_shape_takes_no_fallback(self, small3d):
+        _, fallbacks = self.fallbacks(lambda: small3d.sorted_unique())
+        assert fallbacks == 0
 
 
 class TestRoundTrips:
