@@ -2,11 +2,10 @@
 
 Runs a small kernel-vs-scenario matrix through :mod:`repro.bench` (the four
 MTTKRP kernel formats against the ``structure_zoo`` suite at a tiny
-budget), prints the resulting table, then demonstrates the regression
-comparator: the COO scatter path (``np.add.at``) is benchmarked as the
-"baseline" and the sorted segment-sum path as the "candidate", so the
-compare verdict shows the accumulation-path optimisation as a measured
-improvement — the exact before/after story every perf PR should attach.
+budget), prints the resulting table and round-trips the artifact through
+disk.  Cells this small are a smoke, not evidence: a before/after
+performance claim comes from ``repro-bench ab <rev>`` on the paper-scale
+``perfbench/`` benchmark.
 
 Run with::
 
@@ -16,16 +15,9 @@ Run with::
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
-from repro.bench import (
-    BenchConfig,
-    compare_runs,
-    load_run,
-    run_benchmarks,
-    save_run,
-)
+from repro.bench import BenchConfig, load_run, run_benchmarks, save_run
 from repro.bench.runner import suite_scenarios
 from repro.experiments.common import format_table
 
@@ -51,28 +43,7 @@ def main() -> None:
     print("kernel x structure_zoo matrix (tiny budget)\n")
     print(format_table(rows))
 
-    # ---- 2. a before/after comparison -------------------------------- #
-    # the "small" budget keeps enough nonzeros per scenario that the
-    # accumulation paths separate from timer noise
-    compare_config = BenchConfig.from_budget("small")
-    baseline = run_benchmarks(["kernel.coo-scatter"], scenarios,
-                              compare_config, name="scatter-baseline")
-    candidate = run_benchmarks(["kernel.coo-sorted"], scenarios,
-                               compare_config, name="sorted-candidate")
-    # compare_runs lines cells up by (target, scenario); relabel both
-    # runs' targets so the cells describe "the COO kernel"
-    for run in (baseline, candidate):
-        run.measurements = [replace(m, target="kernel.coo")
-                            for m in run.measurements]
-
-    report = compare_runs(baseline, candidate, threshold=0.10)
-    print("\nscatter (np.add.at) -> sorted segment-sum, per scenario\n")
-    print(format_table(report.rows()))
-    counts = report.counts()
-    print(f"\nimprovements: {counts['improvement']}, neutral: "
-          f"{counts['neutral']}, regressions: {counts['regression']}")
-
-    # ---- 3. artifacts round-trip through disk ------------------------ #
+    # ---- 2. artifacts round-trip through disk ------------------------ #
     with tempfile.TemporaryDirectory() as tmp:
         path = save_run(matrix, Path(tmp) / "BENCH_tour.json")
         again = load_run(path)

@@ -1,58 +1,33 @@
-"""Performance measurement and regression tracking.
+"""Performance measurement: one evidence harness plus a smoke matrix.
 
-The paper's contribution *is* measured speed, so this package gives the
-repo a machine-readable performance record:
+The paper's claims are about speed on 10^6-10^8-nnz tensors, so the only
+performance evidence this repository accepts comes from the paper-scale
+benchmark in ``perfbench/`` (declared by ``BENCHMARK.json``), compared
+between two commits by:
+
+* :mod:`repro.bench.ab` — ``repro-bench ab <rev>``: snapshots ``<rev>`` and
+  ``HEAD``, runs alternating pairs of ``perfbench/run.py`` and gives each
+  end-to-end metric a ``regression`` / ``unresolved`` / ``neutral`` /
+  ``gain`` verdict against its bound, plus per-layer deltas from one
+  traced pair.
+
+The rest of the package times registered operations on small scenario
+cells — a must-run-clean smoke, not evidence:
 
 * :mod:`repro.bench.targets` — registry of timeable operations (exact
   MTTKRP kernels, format builders, gpusim simulations, CPD-ALS);
-* :mod:`repro.bench.runner` — warmup/repeat sweeps of targets x scenarios
-  with robust statistics;
-* :mod:`repro.bench.schema` — versioned JSON artifacts
-  (``BENCH_<name>.json`` + append-only ``BENCH_history.jsonl``);
-* :mod:`repro.bench.compare` — before/after regression verdicts (with
-  environment comparability checks);
-* :mod:`repro.bench.history` — longitudinal trend / changepoint analytics
-  over the history trajectory;
-* :mod:`repro.bench.attribution` — counter-movement attribution of
-  detected regressions to a probable cause;
-* :mod:`repro.bench.cli` — ``repro-bench list | run | matrix | compare |
-  history``.
-
-Every perf-focused PR should attach a baseline and candidate artifact and
-let ``repro-bench compare`` state the verdict (see README "Benchmarking").
+* :mod:`repro.bench.runner` — warmup/repeat sweeps of targets x scenarios;
+* :mod:`repro.bench.schema` — the versioned ``BENCH_<name>.json`` artifact;
+* :mod:`repro.bench.ooc_smoke` — the capped 10^7-nnz out-of-core proof;
+* :mod:`repro.bench.cli` — ``repro-bench list | run | matrix | ab``.
 """
 
-from repro.bench.attribution import (
-    Attribution,
-    CounterMove,
-    attribute_regression,
-    attribute_series,
-    rank_counter_moves,
-)
-from repro.bench.compare import CompareReport, Delta, compare_runs
-from repro.bench.env import (
-    capture_environment,
-    env_fingerprint,
-    env_incompatibilities,
-)
-from repro.bench.history import (
-    Series,
-    SeriesKey,
-    SeriesPoint,
-    SeriesReport,
-    TrendResult,
-    analyze_history,
-    build_series,
-    detect_trend,
-    load_history,
-    sparkline,
-)
+from repro.bench.env import capture_environment
 from repro.bench.runner import BUDGETS, BenchConfig, run_benchmarks
 from repro.bench.schema import (
     SCHEMA_VERSION,
     BenchRun,
     Measurement,
-    append_history,
     bench_artifact_path,
     load_run,
     save_run,
@@ -69,39 +44,18 @@ from repro.bench.targets import (
 __all__ = [
     "SCHEMA_VERSION",
     "BUDGETS",
-    "Attribution",
     "BenchConfig",
     "BenchRun",
     "BenchTarget",
-    "CompareReport",
-    "CounterMove",
-    "Delta",
     "Measurement",
-    "Series",
-    "SeriesKey",
-    "SeriesPoint",
-    "SeriesReport",
-    "TrendResult",
-    "analyze_history",
-    "append_history",
-    "attribute_regression",
-    "attribute_series",
     "bench_artifact_path",
-    "build_series",
     "capture_environment",
-    "compare_runs",
-    "detect_trend",
-    "env_fingerprint",
-    "env_incompatibilities",
     "expand_targets",
     "get_target",
-    "load_history",
     "load_run",
-    "rank_counter_moves",
     "register_target",
     "run_benchmarks",
     "save_run",
-    "sparkline",
     "target_groups",
     "target_names",
 ]

@@ -25,49 +25,7 @@ except ImportError:  # pragma: no cover - resource is POSIX-only
 
 __all__ = ["capture_environment", "git_revision", "peak_rss_bytes",
            "reset_peak_rss", "vm_hwm_bytes", "cell_peak_rss",
-           "utc_now_iso", "env_fingerprint", "env_incompatibilities"]
-
-
-#: the environment fields whose change makes timings incomparable.  The
-#: machine architecture and core count move every kernel by integer
-#: factors; the interpreter's major.minor moves the pure-Python layers
-#: (dispatch, planning) materially.  Patch releases, NumPy builds and
-#: hostnames are deliberately excluded — they shift timings within the
-#: noise band the compare threshold already absorbs.
-FINGERPRINT_FIELDS = ("machine", "cpu_count", "python")
-
-
-def env_fingerprint(env: dict) -> tuple:
-    """The comparability key of a captured environment.
-
-    Two benchmark runs are *comparable* — their wall-clock ratios mean
-    something — only when their fingerprints match: same machine
-    architecture, same CPU count, same Python major.minor.  Used both by
-    :func:`repro.bench.compare.compare_runs` (to refuse silent
-    cross-machine verdicts) and by :mod:`repro.bench.history` (to split
-    time series at environment changes).
-    """
-    python = str(env.get("python") or "")
-    major_minor = ".".join(python.split(".")[:2])
-    cpu_count = env.get("cpu_count")
-    return (
-        str(env.get("machine") or ""),
-        int(cpu_count) if cpu_count is not None else None,
-        major_minor,
-    )
-
-
-def env_incompatibilities(a: dict, b: dict) -> list[str]:
-    """Human-readable list of material differences between two envs.
-
-    Empty when the environments are comparable.
-    """
-    fa, fb = env_fingerprint(a), env_fingerprint(b)
-    return [
-        f"{name}: {va!r} vs {vb!r}"
-        for name, va, vb in zip(FINGERPRINT_FIELDS, fa, fb)
-        if va != vb
-    ]
+           "utc_now_iso"]
 
 
 def peak_rss_bytes() -> int | None:

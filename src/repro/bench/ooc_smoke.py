@@ -16,10 +16,9 @@
    in-memory path, and require the streamed MTTKRP output to be
    bit-identical (``float64``-view-as-``uint64`` equality, not allclose).
 
-The parent assembles the phase metrics into a schema-v2
-:class:`~repro.bench.schema.BenchRun` and writes ``BENCH_<name>.json``,
-so CI can upload the artifact and ``repro-bench compare`` /
-``history trend`` can gate ``peak_rss_bytes`` on it like any other run.
+The parent assembles the phase metrics into a
+:class:`~repro.bench.schema.BenchRun` and writes ``BENCH_<name>.json``
+for CI to upload.
 """
 
 from __future__ import annotations
@@ -35,13 +34,7 @@ import time
 import numpy as np
 
 from repro.bench.env import capture_environment, cell_peak_rss, reset_peak_rss, utc_now_iso
-from repro.bench.schema import (
-    BenchRun,
-    HISTORY_FILE,
-    Measurement,
-    append_history,
-    save_run,
-)
+from repro.bench.schema import BenchRun, Measurement, save_run
 from repro.bench.targets import bench_factors
 from repro.formats import get_format
 from repro.scenarios.cache import materialize, materialize_sharded
@@ -269,10 +262,6 @@ def _orchestrate(args) -> int:
     out_path = os.path.join(args.out_dir, f"BENCH_{args.name}.json")
     save_run(run, out_path)
     print(f"[ooc-smoke] wrote {out_path}", flush=True)
-    if not args.no_history:
-        history = append_history(
-            run, os.path.join(args.out_dir, HISTORY_FILE))
-        print(f"[ooc-smoke] appended to {history}", flush=True)
     return 0
 
 
@@ -298,8 +287,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--skip-inmem-proof", action="store_true",
                         help="skip the capped in-memory MemoryError proof")
-    parser.add_argument("--no-history", action="store_true",
-                        help=f"do not append the run to {HISTORY_FILE}")
     parser.add_argument("--phase", choices=("stream", "inmem"), default=None,
                         help=argparse.SUPPRESS)
     parser.add_argument("--work-dir", default=None, help=argparse.SUPPRESS)

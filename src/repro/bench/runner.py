@@ -41,9 +41,8 @@ __all__ = ["BenchConfig", "BUDGETS", "run_benchmarks", "suite_scenarios"]
 #: keeps a full kernel x paper12 matrix under a minute of wall clock.  Its
 #: warmup is 5 because the first few calls on a freshly built
 #: representation run up to 3x slow (first-touch page faults on the new
-#: arrays), and its repeats 5 so one jittery lap cannot drag the median —
-#: with fewer laps, recordings differ by >10% on random cells and show up
-#: as phantom regressions in ``repro-bench compare``.
+#: arrays), and its repeats 5 so one jittery lap cannot drag the median
+#: (with fewer laps, recordings differ by >10% on random cells).
 BUDGETS: dict[str, tuple[float, int, int]] = {
     "tiny": (0.04, 5, 5),
     "small": (0.2, 5, 1),
@@ -231,8 +230,8 @@ def run_benchmarks(
     # Resolve effective specs up front and keep (target, scenario) cells
     # unique: an exact duplicate (same name, same content hash) is dropped,
     # a name collision over different content is disambiguated with the
-    # hash — compare_runs matches cells by name, so silent shadowing here
-    # would hide measurements from every later comparison.
+    # hash — readers look cells up by name, so silent shadowing here
+    # would hide measurements.
     resolved_scenarios: list[tuple[str, ScenarioSpec]] = []
     seen: dict[str, str] = {}
     for scenario_name, spec_like in scenarios:

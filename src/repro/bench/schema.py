@@ -3,9 +3,7 @@
 A :class:`BenchRun` is the unit of persistence: one invocation of the
 runner over a set of (target, scenario) cells.  It serialises to a plain
 dict with a ``schema_version`` discriminator, written as
-``BENCH_<name>.json`` at the repo root (the *latest* run, overwritten in
-place so diffs are reviewable) plus one line appended to
-``BENCH_history.jsonl`` (the *trajectory*, never rewritten).
+``BENCH_<name>.json``.
 
 The schema is deliberately flat and dependency-free so any tool — CI, a
 notebook, ``jq`` — can consume it:
@@ -43,7 +41,6 @@ from repro.util.timing import Timer
 
 __all__ = [
     "SCHEMA_VERSION",
-    "HISTORY_FILE",
     "Measurement",
     "BenchRun",
     "stats_from_timer",
@@ -51,7 +48,6 @@ __all__ = [
     "validate_run_dict",
     "load_run",
     "save_run",
-    "append_history",
     "bench_artifact_path",
 ]
 
@@ -61,13 +57,10 @@ __all__ = [
 #: ``peak_rss_bytes`` environment/metric fields.  Version 3 added the
 #: optional per-measurement ``status`` field (``"ok"`` when absent;
 #: ``"timeout"`` marks a cell that hit the per-cell deadline — its stats
-#: are the elapsed wall clock at expiry, not lap timings, and comparison
-#: or trend tooling must not treat them as measurements).  Older files
+#: are the elapsed wall clock at expiry, not lap timings, and readers
+#: must not treat them as measurements).  Older files
 #: still load — readers accept anything <= this version.
 SCHEMA_VERSION = 3
-
-#: append-only trajectory file kept next to the ``BENCH_<name>.json`` files.
-HISTORY_FILE = "BENCH_history.jsonl"
 
 _STAT_KEYS = ("min", "median", "p95", "mean", "stddev", "total")
 
@@ -121,9 +114,8 @@ class Measurement:
 
     ``status`` is ``"ok"`` for a completed measurement and ``"timeout"``
     for a cell that hit the runner's per-cell deadline (its stats are
-    :func:`timeout_stats` placeholders).  Non-ok cells are incomparable:
-    ``compare`` and ``history`` tooling must skip them rather than read
-    their stats as timings.
+    :func:`timeout_stats` placeholders); readers must skip non-ok cells
+    rather than read their stats as timings.
     """
 
     target: str
@@ -147,20 +139,6 @@ class Measurement:
                 f"unknown stat {metric!r}; choose one of {', '.join(_STAT_KEYS)}"
             )
         return float(self.stats[metric])
-
-    def value(self, metric: str = "median") -> float | None:
-        """Comparable value of ``metric`` — a timing stat or a metrics field.
-
-        Timing stats (``min``/``median``/...) come from ``stats`` and are
-        always present; anything else (e.g. ``peak_rss_bytes``) is looked
-        up in the per-cell ``metrics`` dict and may be ``None`` for cells
-        recorded before that metric existed — callers must treat ``None``
-        as "not comparable", not as zero.
-        """
-        if metric in _STAT_KEYS:
-            return float(self.stats[metric])
-        raw = self.metrics.get(metric)
-        return None if raw is None else float(raw)
 
     def to_dict(self) -> dict:
         return {
@@ -312,14 +290,4 @@ def save_run(run: BenchRun, path: str | os.PathLike) -> Path:
         fh.write(run.to_json())
         fh.write("\n")
     os.replace(tmp, path)
-    return path
-
-
-def append_history(run: BenchRun, path: str | os.PathLike) -> Path:
-    """Append ``run`` as one JSON line to the trajectory file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(run.to_json(indent=None))
-        fh.write("\n")
     return path

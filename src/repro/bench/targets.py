@@ -8,9 +8,9 @@ zero-argument closure — the closure is what the runner times.  ``build.*``
 targets invert that: construction *is* the timed operation.
 
 Targets are registered declaratively (the same pattern as
-:mod:`repro.scenarios.registry`), so both the ``repro-bench`` CLI and the
-pytest benchmark harness (``benchmarks/conftest.py``) iterate one shared
-list instead of duplicating timing glue.
+:mod:`repro.scenarios.registry`), so the ``repro-bench`` CLI, the tests
+and the examples iterate one shared list instead of duplicating timing
+glue.
 """
 
 from __future__ import annotations

@@ -7,10 +7,6 @@ interface::
 
     python -m repro.experiments.registry fig8
     python -m repro.experiments.registry all --scale 0.5
-
-The benchmark harness under ``benchmarks/`` wraps the same functions with
-pytest-benchmark so the numbers in EXPERIMENTS.md can be regenerated with a
-single pytest invocation.
 """
 
 from repro.experiments.common import ExperimentResult, format_table

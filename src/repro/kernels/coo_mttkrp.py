@@ -64,10 +64,11 @@ COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort", "bincount")
 #: scatter path to the ``"sort"`` segment-sum path.  Below it the stable
 #: argsort costs more than it saves; above it the sequential
 #: ``np.add.reduceat`` writes beat ``np.add.at``'s random-access scatter by
-#: ~1.3-1.4x at the paper's ``R = 32`` (measured on NumPy 2.x; see
-#: ``BENCH_kernels.json``, targets ``kernel.coo-scatter`` vs
-#: ``kernel.coo-sorted``).  The empirical autotuner (:mod:`repro.tune`)
-#: refines this static default per tensor.
+#: ~1.3-1.4x at the paper's ``R = 32`` (measured on NumPy 2.x with the
+#: ``kernel.coo-scatter`` vs ``kernel.coo-sorted`` bench targets; the
+#: numbers are recorded where CHANGES.md introduces the sort path).  The
+#: empirical autotuner (:mod:`repro.tune`) refines this static default per
+#: tensor.
 SORT_MIN_NNZ = 2048
 
 

@@ -30,8 +30,8 @@ def quantile(values, q: float) -> float:
     """Linear-interpolation quantile of an arbitrary non-empty sample.
 
     The one quantile definition shared by :class:`Timer`, the telemetry
-    span summaries and the bench-history trend analysis, so a p95 means
-    the same thing everywhere it is printed.
+    span summaries and the ``repro-bench ab`` medians and IQRs, so a
+    quantile means the same thing everywhere it is printed.
     """
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"quantile q must be in [0, 1], got {q}")
@@ -39,22 +39,6 @@ def quantile(values, q: float) -> float:
     if not data:
         raise ValidationError("cannot take a quantile of an empty sample")
     return _quantile(data, q)
-
-
-def median_abs_deviation(values, center: float | None = None) -> float:
-    """Median absolute deviation of a non-empty sample.
-
-    The robust noise estimate behind the bench-history changepoint
-    detector: unlike the standard deviation, one wild outlier lap cannot
-    inflate it and mask a real median shift.  ``center`` defaults to the
-    sample median.
-    """
-    data = [float(v) for v in values]
-    if not data:
-        raise ValidationError("cannot take the MAD of an empty sample")
-    if center is None:
-        center = quantile(data, 0.5)
-    return quantile([abs(v - center) for v in data], 0.5)
 
 
 @dataclass

@@ -109,13 +109,12 @@ class TestCli:
         run = load_run(artifact)
         assert run.name == "smoke"
         assert run.config["repeats"] == 2
-        assert (tmp_path / "BENCH_history.jsonl").exists()
 
     def test_run_no_history(self, tmp_path):
         main(["run", "-t", "kernel.coo", "-s", TINY_JSON,
               "--repeats", "1", "--warmup", "0", "--rank", "4",
-              "--no-history", "--quiet", "--out-dir", str(tmp_path)])
-        assert not (tmp_path / "BENCH_history.jsonl").exists()
+              "--quiet", "--out-dir", str(tmp_path)])
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_run.json"]
 
     def test_run_without_scenarios_errors(self, capsys):
         with pytest.raises(SystemExit):
@@ -126,77 +125,6 @@ class TestCli:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert "matches nothing" in capsys.readouterr().err
-
-    def test_compare_exit_codes(self, tmp_path, capsys):
-        assert main(["run", "-t", "kernel.coo", "-s", TINY_JSON,
-                     "--rank", "4", "--repeats", "2", "--warmup", "0",
-                     "--quiet", "--no-history", "--name", "base",
-                     "--out-dir", str(tmp_path)]) == 0
-        base = tmp_path / "BENCH_base.json"
-        cand = tmp_path / "BENCH_cand.json"
-
-        # candidate = baseline with a synthetic 2x slowdown injected; two
-        # real timed runs would add machine noise on top of the injection
-        data = json.loads(base.read_text())
-        data["name"] = "cand"
-        cand.write_text(json.dumps(data))
-        assert main(["compare", str(base), str(cand),
-                     "--threshold", "0.5"]) == 0
-
-        for m in data["measurements"]:
-            for key in ("min", "median", "p95", "mean", "total"):
-                m["stats"][key] *= 2.0
-        cand.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert main(["compare", str(base), str(cand),
-                     "--threshold", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "regression" in captured.out
-
-    def test_compare_json_output(self, tmp_path, capsys):
-        common = ["run", "-t", "kernel.coo", "-s", TINY_JSON, "--rank", "4",
-                  "--repeats", "1", "--warmup", "0", "--quiet",
-                  "--no-history", "--out-dir", str(tmp_path)]
-        assert main(common + ["--name", "a"]) == 0
-        assert main(common + ["--name", "b"]) == 0
-        capsys.readouterr()
-        code = main(["compare", str(tmp_path / "BENCH_a.json"),
-                     str(tmp_path / "BENCH_b.json"),
-                     "--threshold", "100", "--json"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["counts"]["regression"] == 0
-        assert report["cells"][0]["target"] == "kernel.coo"
-
-    def test_compare_incomparable_envs_reported_not_failed(
-            self, tmp_path, capsys):
-        from tests.bench.test_compare import LAPTOP, SERVER, run_with
-
-        base = tmp_path / "BENCH_a.json"
-        cand = tmp_path / "BENCH_b.json"
-        base.write_text(run_with({("kernel.coo", "t"): 1.0},
-                                 env=LAPTOP).to_json())
-        cand.write_text(run_with({("kernel.coo", "t"): 3.0},
-                                 env=SERVER).to_json())
-        assert main(["compare", str(base), str(cand)]) == 0
-        out = capsys.readouterr().out
-        assert "incomparable: 1" in out
-        assert "environments differ materially" in out
-        assert "--ignore-env" in out
-
-    def test_compare_ignore_env_forces_verdicts(self, tmp_path, capsys):
-        from tests.bench.test_compare import LAPTOP, SERVER, run_with
-
-        base = tmp_path / "BENCH_a.json"
-        cand = tmp_path / "BENCH_b.json"
-        base.write_text(run_with({("kernel.coo", "t"): 1.0},
-                                 env=LAPTOP).to_json())
-        cand.write_text(run_with({("kernel.coo", "t"): 3.0},
-                                 env=SERVER).to_json())
-        assert main(["compare", str(base), str(cand),
-                     "--ignore-env"]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
 
     def test_matrix_default_name_and_suite(self, tmp_path, monkeypatch):
         # a 1-entry suite keeps the smoke test fast while exercising the
@@ -211,80 +139,8 @@ class TestCli:
         code = main(["matrix", "--suite", "bench-unit",
                      "-t", "kernel.coo", "-t", "kernel.csf",
                      "--repeats", "1", "--warmup", "0", "--rank", "4",
-                     "--quiet", "--no-history", "--out-dir", str(tmp_path)])
+                     "--quiet", "--out-dir", str(tmp_path)])
         assert code == 0
         run = load_run(tmp_path / "BENCH_kernels.json")
         assert {m.target for m in run.measurements} == {"kernel.coo",
                                                         "kernel.csf"}
-
-
-class TestHistoryCli:
-    @pytest.fixture
-    def history_file(self, tmp_path):
-        """Six fabricated runs: kernel.coo/t stable then 2x-slowed with a
-        plan-cache miss storm; kernel.csf/t stable throughout."""
-        from tests.bench.test_history import ENV_A, make_run
-
-        path = tmp_path / "BENCH_history.jsonl"
-        healthy = {"plan_cache.misses": 2.0, "plan_cache.hits": 60.0}
-        stormy = {"plan_cache.misses": 90.0, "plan_cache.hits": 2.0}
-        rows = [(1.00, healthy), (1.02, healthy), (0.98, healthy),
-                (1.01, healthy), (2.00, stormy), (2.02, stormy)]
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, (v, counters) in enumerate(rows):
-                run = make_run({("kernel.coo", "t"): v,
-                                ("kernel.csf", "t"): 0.5},
-                               name=f"r{i}", env=ENV_A, counters=counters)
-                fh.write(run.to_json(indent=None) + "\n")
-        return path
-
-    def test_report_table(self, history_file, capsys):
-        assert main(["history", "report",
-                     "--history", str(history_file)]) == 0
-        out = capsys.readouterr().out
-        assert "kernel.coo" in out and "kernel.csf" in out
-        assert "regressing!" in out  # sustained marker
-        assert "2 series" in out
-
-    def test_report_json(self, history_file, capsys):
-        assert main(["history", "report", "--history", str(history_file),
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        verdicts = {p["target"]: p["trend"]["verdict"] for p in payload}
-        assert verdicts == {"kernel.coo": "regressing",
-                            "kernel.csf": "stable"}
-
-    def test_trend_gate_fails_on_sustained_regression(self, history_file,
-                                                      capsys):
-        assert main(["history", "trend", "--history", str(history_file),
-                     "--fail-on-regression"]) == 1
-        captured = capsys.readouterr()
-        assert "TREND REGRESSION" in captured.err
-        assert "changepoint at sample 4" in captured.out
-
-    def test_trend_gate_passes_on_filtered_stable_series(self, history_file):
-        assert main(["history", "trend", "--history", str(history_file),
-                     "--target", "kernel.csf",
-                     "--fail-on-regression"]) == 0
-
-    def test_attribute_names_the_miss_storm(self, history_file, capsys):
-        assert main(["history", "attribute",
-                     "--history", str(history_file),
-                     "--target", "kernel.coo"]) == 0
-        out = capsys.readouterr().out
-        assert "miss storm" in out
-        assert "plan_cache.misses" in out
-
-    def test_attribute_json_ranks_misses_first(self, history_file, capsys):
-        assert main(["history", "attribute",
-                     "--history", str(history_file), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        (entry,) = payload  # only the regressing series is attributed
-        assert entry["target"] == "kernel.coo"
-        moves = entry["attribution"]["moves"]
-        assert moves[0]["name"] == "plan_cache.misses"
-
-    def test_missing_history_is_clean_error(self, tmp_path, capsys):
-        assert main(["history", "report",
-                     "--history", str(tmp_path / "nope.jsonl")]) == 2
-        assert "error:" in capsys.readouterr().err

@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.bench.schema import (
-    HISTORY_FILE,
     SCHEMA_VERSION,
     BenchRun,
     Measurement,
-    append_history,
     bench_artifact_path,
     load_run,
     save_run,
@@ -129,14 +125,3 @@ class TestArtifacts:
     def test_empty_name_rejected(self):
         with pytest.raises(ValidationError):
             bench_artifact_path("  ")
-
-    def test_history_append_only(self, tmp_path):
-        history = tmp_path / HISTORY_FILE
-        append_history(make_run("a"), history)
-        append_history(make_run("b"), history)
-        lines = history.read_text().strip().splitlines()
-        assert len(lines) == 2
-        names = [json.loads(line)["name"] for line in lines]
-        assert names == ["a", "b"]
-        for line in lines:
-            validate_run_dict(json.loads(line))

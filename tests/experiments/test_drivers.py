@@ -11,7 +11,8 @@ import math
 import pytest
 
 from repro.experiments import (
-    fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig14, fig16, table2, table3,
+    fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15,
+    fig16, table2, table3,
 )
 from repro.experiments.fig10 import iterations_to_amortise
 from repro.tensor.datasets import ALL_DATASETS, THREE_D_DATASETS
@@ -77,6 +78,15 @@ class TestFigureDrivers:
         r = fig11.run(scale=0.1, datasets=("nell2", "uber"))
         assert r.summary["paper_average_speedup"] == 35
         assert all(isinstance(row["speedup"], (int, float)) for row in r.rows)
+
+    @pytest.mark.parametrize("driver, paper_average",
+                             [(fig12, 9), (fig13, 17), (fig15, 4)],
+                             ids=["fig12", "fig13", "fig15"])
+    def test_speedup_driver_smoke(self, driver, paper_average):
+        r = driver.run(scale=0.1, datasets=("nell2", "deli"))
+        assert [row["tensor"] for row in r.rows] == ["nell2", "deli"]
+        assert all(row["speedup"] > 0 for row in r.rows)
+        assert r.summary["paper_average_speedup"] == paper_average
 
     def test_fig14_skips_4d(self):
         r = fig14.run(scale=0.1, datasets=("nell2", "uber"))

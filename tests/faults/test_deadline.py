@@ -154,8 +154,6 @@ def test_bench_config_rejects_bad_timeout():
 
 
 def test_timeout_cells_round_trip_and_never_gate():
-    from repro.bench.compare import compare_runs
-    from repro.bench.history import build_series
     from repro.bench.schema import BenchRun
 
     spec = {"generator": "uniform", "shape": [30, 20, 10], "nnz": 2000,
@@ -164,16 +162,6 @@ def test_timeout_cells_round_trip_and_never_gate():
         ["kernel.csf"], [("t", spec)],
         BenchConfig(repeats=2, warmup=0, rank=8, cell_timeout_seconds=1e-9),
         name="slow")
-    ok = run_benchmarks(
-        ["kernel.csf"], [("t", spec)],
-        BenchConfig(repeats=2, warmup=0, rank=8), name="ok")
     # schema round trip preserves the status
     back = BenchRun.from_dict(slow.to_dict())
     assert back.measurements[0].status == "timeout"
-    # compare: a timed-out side is incomparable, never a regression
-    report = compare_runs(ok, slow)
-    assert [d.verdict for d in report.deltas] == ["incomparable"]
-    assert not report.has_regressions
-    # history: the timeout point is skipped from trend series
-    series = build_series([slow, ok])
-    assert len(series) == 1 and len(series[0].points) == 1

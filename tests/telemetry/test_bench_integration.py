@@ -93,7 +93,7 @@ class TestBenchCounters:
 
     def test_v1_measurements_still_load(self):
         """Pre-telemetry artifacts (schema 1, no counters field) must keep
-        loading so `repro-bench compare` works against old baselines."""
+        loading."""
         legacy = {
             "target": "kernel.coo",
             "scenario": "old",
