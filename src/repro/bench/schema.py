@@ -58,8 +58,8 @@ __all__ = [
 #: optional per-measurement ``status`` field (``"ok"`` when absent;
 #: ``"timeout"`` marks a cell that hit the per-cell deadline — its stats
 #: are the elapsed wall clock at expiry, not lap timings, and readers
-#: must not treat them as measurements).  Older files
-#: still load — readers accept anything <= this version.
+#: must not treat them as measurements).  Older files still load —
+#: readers accept anything <= this version.
 SCHEMA_VERSION = 3
 
 _STAT_KEYS = ("min", "median", "p95", "mean", "stddev", "total")
