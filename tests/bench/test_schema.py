@@ -78,6 +78,13 @@ class TestRoundTrip:
         back = load_run(path)
         assert back.to_dict() == run.to_dict()
 
+    def test_roundtrip_preserves_peak_rss_metric(self):
+        run = make_run()
+        run.measurements[0].metrics["peak_rss_bytes"] = 42.0 * 1024 * 1024
+        back = BenchRun.from_json(run.to_json())
+        assert back.measurements[0].metrics["peak_rss_bytes"] == pytest.approx(
+            42.0 * 1024 * 1024)
+
     def test_measurement_lookup(self):
         run = make_run()
         assert run.measurement("kernel.coo", "s1").target == "kernel.coo"

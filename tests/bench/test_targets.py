@@ -15,6 +15,7 @@ from repro.bench.targets import (
     target_names,
 )
 from repro.scenarios.cache import materialize
+from repro.tensor.datasets import load_dataset
 from repro.util.errors import ValidationError
 
 TINY = {"generator": "uniform", "shape": [12, 10, 14], "nnz": 300, "seed": 9}
@@ -167,3 +168,42 @@ class TestExecution:
         b = bench_factors((5, 6, 7), 4)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+class TestBenchScaleTargets:
+    """Build and kernel targets on the paper datasets at scale 0.5, R = 32."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {name: load_dataset(name, scale=0.5)
+                for name in ("deli", "darpa", "nell2", "fr_m")}
+
+    def run(self, target, tensor):
+        return get_target(target).setup(tensor, 32)()
+
+    def test_build_csf(self, datasets):
+        assert self.run("build.csf", datasets["deli"]).nnz == datasets["deli"].nnz
+
+    def test_build_bcsf(self, datasets):
+        bcsf = self.run("build.b-csf", datasets["darpa"])
+        assert bcsf.max_nnz_per_fiber() <= 128
+
+    def test_build_hbcsf(self, datasets):
+        assert self.run("build.hb-csf", datasets["fr_m"]).nnz == datasets["fr_m"].nnz
+
+    @pytest.mark.parametrize("target", ["kernel.coo", "kernel.coo-scatter",
+                                        "kernel.coo-sorted",
+                                        "kernel.coo-bincount", "kernel.csf"])
+    def test_deli_kernel(self, datasets, target):
+        out = self.run(target, datasets["deli"])
+        assert out.shape[0] == datasets["deli"].shape[0]
+        assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("target, dataset",
+                             [("kernel.b-csf", "darpa"),
+                              ("kernel.hb-csf", "nell2"),
+                              ("kernel.dispatch", "darpa")])
+    def test_kernel(self, datasets, target, dataset):
+        out = self.run(target, datasets[dataset])
+        assert out.shape[0] == datasets[dataset].shape[0]
+        assert np.isfinite(out).all()

@@ -102,3 +102,15 @@ class TestFigureDrivers:
         # COO stores one index word per mode per nonzero
         assert by_name["deli"]["coo_words_per_nnz"] == pytest.approx(3.0)
         assert by_name["nips"]["coo_words_per_nnz"] == pytest.approx(4.0)
+
+
+class TestBenchScaleDrivers:
+    """Every driver regenerates rows at dataset scale 0.5 and R = 32."""
+
+    @pytest.mark.parametrize(
+        "driver",
+        [table2, table3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig14,
+         fig16],
+        ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+    def test_rows_at_bench_scale(self, driver):
+        assert driver.run(scale=0.5, rank=32).rows

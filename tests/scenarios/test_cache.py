@@ -14,6 +14,8 @@ from repro.scenarios.registry import _GENERATORS
 from repro.util.errors import ValidationError
 
 SPEC = {"generator": "uniform", "shape": [20, 25, 30], "nnz": 500, "seed": 11}
+POWER_LAW = {"generator": "power_law", "shape": [2_000, 1_500, 2_500],
+             "nnz": 30_000, "seed": 42}
 
 
 @pytest.fixture
@@ -36,6 +38,17 @@ class TestHitMiss:
         assert np.array_equal(generated.indices, loaded.indices)
         assert np.array_equal(generated.values, loaded.values)
         assert generated.shape == loaded.shape
+
+    def test_cold_miss_after_clear(self, cache):
+        spec = parse_spec(POWER_LAW)
+        materialize(spec, cache)
+        cache.clear()
+        assert materialize(spec, cache).nnz > 0
+
+    def test_warm_hit_equals_generated(self, cache):
+        spec = parse_spec(POWER_LAW)
+        generated = materialize(spec, cache)
+        assert materialize(spec, cache) == generated
 
     def test_second_call_does_not_invoke_generator(self, cache, monkeypatch):
         import dataclasses

@@ -9,6 +9,8 @@ from repro.scenarios import (
     Param,
     generator_names,
     get_generator,
+    materialize,
+    parse_spec,
     register_generator,
 )
 from repro.scenarios.registry import _GENERATORS
@@ -92,6 +94,13 @@ class TestParamValidation:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("generator", generator_names())
+    def test_materialize_within_budget(self, generator):
+        spec = parse_spec({"generator": generator,
+                           "shape": [2_000, 1_500, 2_500], "nnz": 30_000,
+                           "seed": 42})
+        assert 0 < materialize(spec).nnz <= 30_000
+
     def test_generate_validates_shape(self):
         gen = get_generator("uniform")
         with pytest.raises(DimensionError):

@@ -74,6 +74,9 @@ class TestBuiltinSuites:
                 for _, t in iter_suite("imbalance_sweep", scale=0.2)]
         assert stds[-1] > stds[0]
 
+    def test_imbalance_sweep_has_five_tensors_at_half_scale(self):
+        assert len(list(iter_suite("imbalance_sweep", scale=0.5))) == 5
+
     def test_scaling_ladder_budgets_increase(self):
         specs = [spec for _, spec in get_suite("scaling_ladder").specs()]
         budgets = [s.nnz for s in specs]
