@@ -70,6 +70,12 @@ def order4_tensor() -> CooTensor:
     return random_coo((12, 10, 9, 8), 2500, default_rng(4))
 
 
+def small_tensor() -> CooTensor:
+    """Order 3 below ``SORT_MIN_NNZ``, so COO's ``"auto"`` takes the
+    ``add_at`` scatter path on both backends."""
+    return random_coo((30, 40, 50), 1500, default_rng(15))
+
+
 def singleton_fiber_tensor() -> CooTensor:
     """Order 3, CSL-eligible for every root mode, with ~14 nonzeros per
     slice: ``k = (i + 3 j) mod 31``, so any two coordinates fix the third
@@ -86,6 +92,7 @@ TENSORS = {
     "order3-long": (long_fiber_tensor, FORMATS),
     "order4": (order4_tensor,
                tuple(f for f in FORMATS if f not in ("parti", "f-coo"))),
+    "order3-small": (small_tensor, ("coo", "csf", "b-csf", "hb-csf")),
     "order3-singleton": (singleton_fiber_tensor, ("csl",)),
 }
 
