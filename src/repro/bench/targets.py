@@ -301,8 +301,7 @@ def _register_coo_variant(suffix: str, method: str) -> None:
                                   dtype=dtype)
 
 
-for _suffix, _method in (("scatter", "add_at"), ("sorted", "sort"),
-                         ("bincount", "bincount")):
+for _suffix, _method in (("scatter", "add_at"), ("sorted", "sort")):
     _register_coo_variant(_suffix, _method)
 
 

@@ -82,49 +82,6 @@ def _decide(tensor, mode: int, rank: int, config, dtype, backend=None,
                   backend=backend, num_workers=num_workers)
 
 
-def _execute(spec, rep, factors, mode: int, out, coo_method, dtype,
-             validate: bool = True, backend=None, num_workers=None,
-             plan_key=None):
-    """One kernel execution, optionally pinned to a COO accumulation variant.
-
-    The pinned-COO path calls :func:`repro.kernels.coo_mttkrp.coo_mttkrp`
-    with the elected ``method`` — exactly what an explicit caller forcing
-    that variant would run, so autotuned results are bit-identical to the
-    explicitly chosen winner's.
-
-    ``backend``/``num_workers`` route execution to the threaded backend
-    (``None`` defers to the environment); ``plan_key`` — the
-    representation's build-plan cache key — content-addresses the shard
-    plan next to the build it partitions.
-    """
-    from repro.parallel.pool import resolve_backend, resolve_workers
-
-    # exactly one "kernel" stage per execution: the spec.mttkrp fallback is
-    # instrumented inside FormatSpec.mttkrp, so only the two direct kernel
-    # invocations here open their own
-    if resolve_backend(backend) == "threads" and spec.sharder is not None:
-        workers = resolve_workers(num_workers)
-        if workers > 1:
-            from repro.parallel.execute import threaded_mttkrp
-
-            with stage("kernel", format=spec.name, mode=mode,
-                       backend="threads", num_workers=workers):
-                return threaded_mttkrp(spec, rep, factors, mode, out,
-                                       dtype=dtype, validate=validate,
-                                       coo_method=coo_method,
-                                       num_workers=workers,
-                                       plan_key=plan_key)
-    if coo_method is not None:
-        from repro.kernels.coo_mttkrp import coo_mttkrp
-
-        with stage("kernel", format=spec.name, mode=mode, backend="serial",
-                   coo_method=coo_method):
-            return coo_mttkrp(rep, factors, mode, out=out, method=coo_method,
-                              dtype=dtype, validate=validate)
-    return spec.mttkrp(rep, factors, mode, out=out, validate=validate,
-                       dtype=dtype, backend="serial")
-
-
 def mttkrp(
     tensor: CooTensor,
     factors: list[np.ndarray],
@@ -180,13 +137,11 @@ def mttkrp(
         # and the built representation must be for that dtype too
         dtype = out.dtype
     resolve_dtype(dtype)  # validate the spelling before any work
-    coo_method = None
     with stage("dispatch", format=format, mode=mode) as sp:
         if _is_auto(format):
             decision = _decide(tensor, mode, factors[mode].shape[1], config,
                                dtype, backend, num_workers)
             format = decision.format
-            coo_method = decision.coo_method
             backend = decision.backend
             num_workers = decision.num_workers
             sp.set(elected=decision.label)
@@ -196,9 +151,9 @@ def mttkrp(
         # them, so the cache key always matches the builder's actual input
         built = build_plan(tensor, spec.name, mode, config, dtype)
         sp.set(format=spec.name, cache_hit=built.cache_hit)
-        return _execute(spec, built.rep, factors, mode, out, coo_method,
-                        dtype, backend=backend, num_workers=num_workers,
-                        plan_key=built.key)
+        return spec.mttkrp(built.rep, factors, mode, out, dtype=dtype,
+                           backend=backend, num_workers=num_workers,
+                           plan_key=built.key)
 
 
 @dataclass
@@ -347,17 +302,16 @@ class MttkrpPlan:
         rep = self.representation(mode)
         spec = get_format(self.mode_formats[mode])
         decision = self.decisions.get(mode)
-        coo_method = decision.coo_method if decision is not None else None
         if backend is None:
             backend = (decision.backend if decision is not None
                        else self.backend)
         if num_workers is None:
             num_workers = (decision.num_workers if decision is not None
                            else self.num_workers)
-        return _execute(spec, rep, factors, mode, out, coo_method,
-                        self.dtype, validate=validate, backend=backend,
-                        num_workers=num_workers,
-                        plan_key=self.plan_keys.get(mode))
+        return spec.mttkrp(rep, factors, mode, out, validate=validate,
+                           dtype=self.dtype, backend=backend,
+                           num_workers=num_workers,
+                           plan_key=self.plan_keys.get(mode))
 
     def index_storage_words(self) -> int:
         """Total index words across all distinct per-mode representations."""

@@ -10,10 +10,11 @@ so hitting a budget degrades gracefully instead of discarding work.
 The *ambient* deadline is a :mod:`contextvars` variable:
 :func:`deadline_scope` installs one for a region and deep call sites poll
 it with :func:`check_deadline` without any signature plumbing.  Context
-variables are per-thread — worker threads of the parallel backend do not
-inherit the scope, so the watchdog boundaries are the serial orchestration
-points (kernel passes, iteration edges, bench laps), which is where a hung
-cell is actually caught.
+variables are per-thread, so the parallel backend's pool
+(:func:`repro.parallel.pool.run_tasks`) runs every task in a copy of the
+submitting thread's context: the kernel passes of a threaded MTTKRP poll
+the same deadline as the serial ones, and a :class:`DeadlineExceeded`
+raised on a pool thread propagates to the caller.
 """
 
 from __future__ import annotations

@@ -183,8 +183,13 @@ class FormatSpec:
 
     def mttkrp(self, rep, factors, mode: int, out=None, *,
                validate: bool = True, dtype=None,
-               backend: str | None = None, num_workers: int | None = None):
+               backend: str | None = None, num_workers: int | None = None,
+               plan_key: tuple | None = None):
         """Execute the exact CPU MTTKRP on a built representation.
+
+        Every CPU execution — :func:`repro.mttkrp`,
+        :meth:`MttkrpPlan.mttkrp <repro.core.mttkrp.MttkrpPlan.mttkrp>` and
+        the autotuner's probes — goes through here.
 
         ``validate=False`` and ``dtype`` are forwarded only to kernels
         that declare the corresponding keyword (all built-in kernels do);
@@ -195,7 +200,9 @@ class FormatSpec:
         (``None`` defers to ``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS``).
         The threaded backend is bit-identical to serial and silently falls
         back to serial for formats without a :attr:`sharder` or when only
-        one worker is available.
+        one worker is available.  ``plan_key`` — the representation's
+        build-plan cache key — content-addresses the threaded backend's
+        shard plan next to the build it partitions.
         """
         if self.cpu_kernel is None:
             raise ValidationError(
@@ -210,7 +217,8 @@ class FormatSpec:
                     sp.set(backend="threads", num_workers=workers)
                     return threaded_mttkrp(self, rep, factors, mode, out,
                                            dtype=dtype, validate=validate,
-                                           num_workers=workers)
+                                           num_workers=workers,
+                                           plan_key=plan_key)
             sp.set(backend="serial")
             extras = {}
             supported = optional_call_params(self.cpu_kernel)

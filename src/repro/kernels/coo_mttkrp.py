@@ -5,7 +5,7 @@ For every nonzero ``X[i0, ..., i_{N-1}]`` the kernel forms the elementwise
 the target mode's, scales it by the value and accumulates it into the output
 row of the target mode.
 
-Three accumulation strategies are available:
+Two accumulation strategies are available:
 
 * ``"add_at"`` — ``np.add.at`` scatter-accumulate, the vectorized
   equivalent of the atomic adds the GPU COO kernels (ParTI) issue.  Its
@@ -16,17 +16,12 @@ Three accumulation strategies are available:
   rows at once, and add each run's total into its (unique) output row.
   One radix sort plus sequential reductions; the fastest path once nnz is
   large.
-* ``"bincount"`` — one sort-free ``np.bincount(weights=...)`` pass per
-  factor column.  Kept as an alternative dense-output path (it can win when
-  ``R`` is very small); measured slower than ``"sort"`` at the paper's
-  ``R = 32`` on NumPy 2.x.  Serial-only: each pass read-modify-writes the
-  full output column, so the threaded backend (whose shards share the
-  output array) rejects it.
 
 ``"auto"`` (the default) picks ``"sort"`` for large-nnz tensors and keeps
-the scatter path for tiny ones, where sort overhead dominates.  All paths
-produce the same sums up to float addition order (they agree to allclose
-tolerance; per-row partial sums are reassociated).
+the scatter path for tiny ones, where sort overhead dominates
+(:func:`auto_method`).  Both paths produce the same sums up to float
+addition order (they agree to allclose tolerance; per-row partial sums are
+reassociated).
 
 The kernel runs in passes of rank rows times nonzeros (see
 :func:`repro.kernels.csf_mttkrp.kernel_passes`), so its scratch stays
@@ -34,9 +29,7 @@ within :data:`~repro.kernels.csf_mttkrp.DEFAULT_SLAB_ELEMS` elements per
 array like every other kernel's.  Where a pass may split the nonzeros
 depends on the accumulator, and keeps every output bit of the single-pass
 evaluation: ``"sort"`` passes split only between runs of one target index,
-``"add_at"`` passes anywhere (its adds land in nonzero order either way),
-and ``"bincount"`` passes split only the rank rows, because each column's
-sum must cover every nonzero.
+``"add_at"`` passes anywhere (its adds land in nonzero order either way).
 
 The Hadamard accumulator of a pass is a rank-major ``(rows, nnz)`` array
 formed by scaling the *first* gathered factor by the values in place — no
@@ -55,10 +48,11 @@ from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, ValidationError
 
-__all__ = ["coo_mttkrp", "COO_ACCUMULATE_METHODS", "SORT_MIN_NNZ"]
+__all__ = ["coo_mttkrp", "auto_method", "COO_ACCUMULATE_METHODS",
+           "SORT_MIN_NNZ"]
 
 #: accumulation strategies accepted by :func:`coo_mttkrp`.
-COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort", "bincount")
+COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort")
 
 #: nnz threshold above which ``"auto"`` switches from the ``"add_at"``
 #: scatter path to the ``"sort"`` segment-sum path.  Below it the stable
@@ -66,10 +60,14 @@ COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort", "bincount")
 #: ``np.add.reduceat`` writes beat ``np.add.at``'s random-access scatter by
 #: ~1.3-1.4x at the paper's ``R = 32`` (measured on NumPy 2.x with the
 #: ``kernel.coo-scatter`` vs ``kernel.coo-sorted`` bench targets; the
-#: numbers are recorded where CHANGES.md introduces the sort path).  The
-#: empirical autotuner (:mod:`repro.tune`) refines this static default per
-#: tensor.
+#: numbers are recorded where CHANGES.md introduces the sort path).  It is
+#: the only rule: no caller above the kernel picks the accumulator.
 SORT_MIN_NNZ = 2048
+
+
+def auto_method(nnz: int) -> str:
+    """The accumulator ``"auto"`` runs for a tensor of ``nnz`` nonzeros."""
+    return "sort" if nnz >= SORT_MIN_NNZ else "add_at"
 
 
 def coo_mttkrp(
@@ -97,8 +95,8 @@ def coo_mttkrp(
         (not cleared), mirroring the GPU kernels' atomic accumulation.  Its
         dtype determines the compute dtype.
     method:
-        ``"auto"`` (default), ``"add_at"``, ``"sort"`` or ``"bincount"`` —
-        see the module docstring.
+        ``"auto"`` (default), ``"add_at"`` or ``"sort"`` — see the module
+        docstring.
     dtype:
         Compute dtype when ``out`` is not supplied (``float32`` /
         ``float64``; default float64).
@@ -131,7 +129,7 @@ def coo_mttkrp(
         return out
 
     if method == "auto":
-        method = "sort" if tensor.nnz >= SORT_MIN_NNZ else "add_at"
+        method = auto_method(tensor.nnz)
     factors = rank_major(factors, out.dtype, skip=mode)
     nnz = tensor.nnz
     target = tensor.indices[:, mode]
@@ -145,10 +143,8 @@ def coo_mttkrp(
         target = target[perm]
         bounds = np.concatenate(
             ([0], np.flatnonzero(np.diff(target)) + 1, [nnz]))
-    elif method == "add_at":
-        bounds = np.arange(nnz + 1)   # adds land in nonzero order anyway
     else:
-        bounds = np.array([0, nnz])   # a column sum covers every nonzero
+        bounds = np.arange(nnz + 1)   # adds land in nonzero order anyway
     others = [m for m in range(tensor.order) if m != mode]
 
     scratch = Scratch(out.dtype)
@@ -171,10 +167,6 @@ def coo_mttkrp(
         if method == "sort":
             # each run's head is a unique output row
             out_t[:, heads] += np.add.reduceat(acc, runs, axis=1)
-        elif method == "add_at":
-            np.add.at(out_t.T, idx, acc.T)
         else:
-            for r in range(r1 - r0):
-                out_t[r] += np.bincount(idx, weights=acc[r],
-                                        minlength=rows)
+            np.add.at(out_t.T, idx, acc.T)
     return out

@@ -22,19 +22,19 @@ from repro.parallel.pool import resolve_workers, run_tasks
 from repro.telemetry import counter_add, span, tracing_enabled
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
-from repro.util.errors import DimensionError, ValidationError
+from repro.util.errors import DimensionError
 
 __all__ = ["threaded_mttkrp"]
 
 
 def _run_shard(shard: Shard, factors: list[np.ndarray], mode: int,
-               out: np.ndarray, coo_method: str | None) -> None:
+               out: np.ndarray) -> None:
     """Execute one shard's serial kernel into the shared output."""
     if shard.kind == "coo":
         from repro.kernels.coo_mttkrp import coo_mttkrp
 
         coo_mttkrp(shard.rep, factors, mode, out=out,
-                   method=coo_method or shard.coo_method or "auto",
+                   method=shard.coo_method or "auto",
                    validate=False)
     elif shard.kind == "csf":
         from repro.kernels.csf_mttkrp import csf_mttkrp
@@ -55,7 +55,6 @@ def threaded_mttkrp(
     *,
     dtype=None,
     validate: bool = True,
-    coo_method: str | None = None,
     num_workers: int | None = None,
     plan_key: tuple | None = None,
 ) -> np.ndarray:
@@ -63,22 +62,15 @@ def threaded_mttkrp(
 
     Bit-identical to ``spec.mttkrp(rep, ...)`` on the serial backend: the
     shard plan cuts only at output-row boundaries and each shard runs the
-    unmodified serial kernel.  ``coo_method`` pins the COO accumulation
-    strategy (tuner decisions); when ``None``, COO shards replay the
-    ``"auto"`` choice the serial kernel would make for the full nnz.
-    ``"bincount"`` is rejected: its accumulator read-modify-writes *every*
-    output row (one full-column ``+=`` per factor column), so concurrent
-    shards would lose updates — run it serially or pin ``"sort"`` instead.
+    unmodified serial kernel; COO shards replay the ``"auto"`` choice the
+    serial kernel makes for the full nnz.  :meth:`FormatSpec.mttkrp
+    <repro.formats.FormatSpec.mttkrp>` is the one caller: it routes here
+    when the backend resolves to threads with more than one worker.
 
     ``plan_key`` — the representation's build-plan cache key — lets the
     shard plan be content-addressed alongside the build artifact it
     partitions.
     """
-    if coo_method == "bincount":
-        raise ValidationError(
-            'coo_method="bincount" is serial-only: its accumulator writes '
-            "every output row, so concurrent shards would race on the "
-            'shared output; use backend="serial" or coo_method="sort"')
     if validate:
         rank = _check_factors(rep.shape, factors, mode)
     else:
@@ -104,7 +96,7 @@ def threaded_mttkrp(
     if not tracing_enabled():
         run_tasks([
             (lambda bucket=bucket: [
-                _run_shard(shard, factors, mode, out, coo_method)
+                _run_shard(shard, factors, mode, out)
                 for shard in bucket
             ])
             for _, bucket in buckets
@@ -126,7 +118,7 @@ def threaded_mttkrp(
         def _run_traced(worker: int, shard: Shard) -> None:
             with span("parallel.shard", parent=parent_id, worker=worker,
                       cost=shard.cost, kind=shard.kind):
-                _run_shard(shard, factors, mode, out, coo_method)
+                _run_shard(shard, factors, mode, out)
 
         run_tasks([
             (lambda worker=worker, bucket=bucket: [

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.coo_mttkrp import SORT_MIN_NNZ
+from repro.kernels.coo_mttkrp import auto_method
 from repro.parallel.lpt import lpt_assign
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import CsfTensor
@@ -190,13 +190,14 @@ def _coo_shards(rep: CooTensor, mode: int, num_workers: int) -> list[Shard]:
     """Row-run chunks of a mode-major-sorted COO tensor.
 
     The accumulation method is pinned to what the serial kernel's
-    ``"auto"`` would pick from the FULL nnz — per-shard nnz falls below
-    :data:`SORT_MIN_NNZ` long before the serial path would, and switching
-    strategies per shard would not be the serial computation any more.
+    ``"auto"`` would pick from the FULL nnz (:func:`auto_method`) —
+    per-shard nnz falls below the sort threshold long before the serial
+    path would, and switching strategies per shard would not be the
+    serial computation any more.
     """
     if rep.nnz == 0:
         return []
-    method = "sort" if rep.nnz >= SORT_MIN_NNZ else "add_at"
+    method = auto_method(rep.nnz)
     idx = rep.indices[:, mode]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(idx)) + 1))
     edges = np.concatenate((starts, [rep.nnz]))

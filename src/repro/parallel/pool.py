@@ -18,6 +18,7 @@ workers than the current pool holds replaces it with a larger one.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -113,6 +114,10 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> list[object]:
     harmless and keeps the pool state simple).  A single task runs inline:
     no submission overhead, and callers never deadlock by running inside a
     pool thread themselves.
+
+    Each task runs in its own copy of the caller's :mod:`contextvars`
+    context (one context cannot be entered by two threads at once), so
+    pool threads poll the ambient deadline of :mod:`repro.faults.deadline`.
     """
     tasks = list(tasks)
     if not tasks:
@@ -120,7 +125,8 @@ def run_tasks(tasks: Sequence[Callable[[], object]]) -> list[object]:
     if len(tasks) == 1:
         return [tasks[0]()]
     pool = get_pool(len(tasks))
-    futures = [pool.submit(task) for task in tasks]
+    futures = [pool.submit(contextvars.copy_context().run, task)
+               for task in tasks]
     return [future.result() for future in futures]
 
 

@@ -3,8 +3,8 @@
 The dispatch layer (:mod:`repro.formats`) lets a caller pick any registered
 sparse format by name; this package picks *for* them.  For a
 ``(tensor fingerprint, mode, rank bucket, dtype)`` cell, :func:`decide`
-times every eligible registry kernel — the COO accumulation variants, CSF,
-B-CSF, HB-CSF and (where representable) CSL — on a budgeted probe and
+times every eligible registry kernel — COO, CSF, B-CSF, HB-CSF and (where
+representable) CSL, once per execution backend — on a budgeted probe and
 records the winner in a bounded, content-addressed decision cache.
 
 Consumers never call this package directly: pass ``format="auto"`` to

@@ -2,13 +2,15 @@
 
 Section VII of the paper shows that the fastest MTTKRP kernel is a property
 of the *tensor* (fiber-length distribution, slice skew) and of the *mode* —
-COO variants win on scatter-friendly short modes, CSL wins on
-all-singleton-fiber modes, HB-CSF wins on heavy-tailed ones.  Instead of
-hard-coding those rules, :func:`decide` measures them: every registry entry
-with a CPU kernel that can represent the tensor (plus the three COO
-accumulation variants) is timed on a small, budgeted probe, and the winner
-is recorded in the content-addressed decision cache
-(:mod:`repro.tune.cache`).
+COO wins on scatter-friendly short modes, CSL wins on all-singleton-fiber
+modes, HB-CSF wins on heavy-tailed ones.  Instead of hard-coding those
+rules, :func:`decide` measures them: every registry entry with a CPU kernel
+that can represent the tensor is timed once per backend on a small,
+budgeted probe, and the winner is recorded in the content-addressed
+decision cache (:mod:`repro.tune.cache`).  A probe runs exactly what
+production dispatch runs — :meth:`FormatSpec.mttkrp
+<repro.formats.FormatSpec.mttkrp>` — so COO is probed with its own
+``"auto"`` accumulator rule, not per accumulator.
 
 Representations for the probe come from the build-plan cache, so probing
 pays each format's construction at most once per tensor — and the build is
@@ -27,7 +29,6 @@ import numpy as np
 
 from repro.formats import build_plan, format_names, get_format, tensor_fingerprint
 from repro.formats.plan_cache import config_token
-from repro.kernels.coo_mttkrp import COO_ACCUMULATE_METHODS, coo_mttkrp
 from repro.kernels.csf_mttkrp import rank_major
 from repro.parallel.pool import resolve_backend, resolve_workers
 from repro.telemetry import span, stage
@@ -97,26 +98,22 @@ DEFAULT_BUDGET = ProbeBudget()
 
 @dataclass(frozen=True)
 class Candidate:
-    """One probe candidate: a registry format, optionally specialised.
+    """One probe candidate: a registry format on one execution backend.
 
-    ``coo_method`` pins one of the COO accumulation strategies
-    (``add_at`` / ``sort`` / ``bincount``); ``None`` uses the format's
-    default kernel path.  ``backend`` selects the execution backend the
-    candidate is timed on (:mod:`repro.parallel`) — ``format x backend``
-    cells compete against each other, so the tuner can elect e.g.
-    ``b-csf+threads`` over ``coo:sort`` serial, or keep a format serial
-    when the pool overhead loses on a small tensor.
+    ``backend`` selects the execution backend the candidate is timed on
+    (:mod:`repro.parallel`) — ``format x backend`` cells compete against
+    each other, so the tuner can elect e.g. ``b-csf+threads`` over serial
+    ``coo``, or keep a format serial when the pool overhead loses on a
+    small tensor.
     """
 
     format: str
-    coo_method: str | None = None
     backend: str = "serial"
 
     @property
     def label(self) -> str:
-        label = (f"{self.format}:{self.coo_method}" if self.coo_method
-                 else self.format)
-        return label if self.backend == "serial" else f"{label}+{self.backend}"
+        return (self.format if self.backend == "serial"
+                else f"{self.format}+{self.backend}")
 
 
 def _csl_eligible(tensor, mode: int) -> bool:
@@ -131,15 +128,9 @@ def enumerate_candidates(tensor, mode: int,
     """The probe candidates for one (tensor, mode) cell, in registry order.
 
     Every ``kind="own"`` registry entry with a CPU kernel that can
-    represent the tensor participates; COO expands into its accumulation
-    variants (the ``"auto"`` meta-method is the static heuristic the tuner
-    replaces, so it is not a candidate itself).  Each format is expanded
-    across ``backends`` (serial first), with ``"threads"`` kept only for
-    formats that have a sharder.  ``"bincount"`` is serial-only: its
-    accumulator writes every output row (one full-column ``+=`` per factor
-    column), so concurrent shards would race on the shared output — the
-    threaded backend refuses it, and probing it would race before the
-    decision could even pin it.
+    represent the tensor participates, once per entry of ``backends``
+    (serial first), with ``"threads"`` kept only for formats that have a
+    sharder.
     """
     candidates: list[Candidate] = []
     for name in format_names(kind="own", cpu=True):
@@ -150,18 +141,9 @@ def enumerate_candidates(tensor, mode: int,
             continue
         if spec.requires_singleton_fibers and not _csl_eligible(tensor, mode):
             continue
-        for backend in backends:
-            if backend == "threads" and not spec.supports_threads:
-                continue
-            if name == "coo":
-                methods = [m for m in COO_ACCUMULATE_METHODS if m != "auto"]
-                if backend == "threads":
-                    methods.remove("bincount")
-                candidates.extend(
-                    Candidate(format=name, coo_method=method, backend=backend)
-                    for method in methods)
-            else:
-                candidates.append(Candidate(format=name, backend=backend))
+        candidates.extend(
+            Candidate(format=name, backend=backend) for backend in backends
+            if backend == "serial" or spec.supports_threads)
     return candidates
 
 
@@ -173,8 +155,6 @@ class TuneDecision:
     ----------
     format:
         Canonical registry name of the winning format.
-    coo_method:
-        Pinned COO accumulation strategy (``None`` for non-COO winners).
     mode / rank_bucket / dtype:
         The decision cell (dtype as its canonical name).
     timings:
@@ -189,7 +169,6 @@ class TuneDecision:
     """
 
     format: str
-    coo_method: str | None
     mode: int
     rank_bucket: int
     dtype: str
@@ -199,9 +178,7 @@ class TuneDecision:
 
     @property
     def label(self) -> str:
-        label = (f"{self.format}:{self.coo_method}" if self.coo_method
-                 else self.format)
-        return label if self.backend == "serial" else f"{label}+{self.backend}"
+        return Candidate(self.format, self.backend).label
 
     def probe_seconds(self) -> dict[str, float]:
         return dict(self.timings)
@@ -233,28 +210,14 @@ def candidate_runner(candidate: Candidate, tensor, factors, mode: int,
 
     The representation is fetched through the build-plan cache, so the
     closure times only the kernel — exactly what production dispatch will
-    pay after the decision.
+    pay after the decision, through the same :meth:`FormatSpec.mttkrp
+    <repro.formats.FormatSpec.mttkrp>` call.
     """
     spec = get_format(candidate.format)
     built = build_plan(tensor, spec.name, mode, config, dtype)
-    rep = built.rep
-    if candidate.backend == "threads":
-        from repro.parallel.execute import threaded_mttkrp
-
-        workers = resolve_workers(num_workers)
-        method = candidate.coo_method
-        plan_key = built.key
-        return lambda: threaded_mttkrp(spec, rep, factors, mode,
-                                       dtype=dtype, validate=False,
-                                       coo_method=method,
-                                       num_workers=workers,
-                                       plan_key=plan_key)
-    if candidate.coo_method is not None:
-        method = candidate.coo_method
-        return lambda: coo_mttkrp(rep, factors, mode, method=method,
-                                  dtype=dtype, validate=False)
-    return lambda: spec.mttkrp(rep, factors, mode, validate=False,
-                               dtype=dtype, backend="serial")
+    return lambda: spec.mttkrp(built.rep, factors, mode, validate=False,
+                               dtype=dtype, backend=candidate.backend,
+                               num_workers=num_workers, plan_key=built.key)
 
 
 def decide(
@@ -355,7 +318,6 @@ def decide(
 
     decision = TuneDecision(
         format=best.format,
-        coo_method=best.coo_method,
         mode=int(mode),
         rank_bucket=bucket,
         dtype=dtype_token(dtype),

@@ -80,8 +80,7 @@ class TestExpansion:
 
     def test_glob(self):
         assert expand_targets(["kernel.coo*"]) == [
-            "kernel.coo", "kernel.coo-bincount", "kernel.coo-scatter",
-            "kernel.coo-sorted"]
+            "kernel.coo", "kernel.coo-scatter", "kernel.coo-sorted"]
 
     def test_group_equals_glob(self):
         assert expand_targets(["sim"]) == expand_targets(["sim.*"])
@@ -192,8 +191,7 @@ class TestBenchScaleTargets:
         assert self.run("build.hb-csf", datasets["fr_m"]).nnz == datasets["fr_m"].nnz
 
     @pytest.mark.parametrize("target", ["kernel.coo", "kernel.coo-scatter",
-                                        "kernel.coo-sorted",
-                                        "kernel.coo-bincount", "kernel.csf"])
+                                        "kernel.coo-sorted", "kernel.csf"])
     def test_deli_kernel(self, datasets, target):
         out = self.run(target, datasets["deli"])
         assert out.shape[0] == datasets["deli"].shape[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.bench.runner import BenchConfig, run_benchmarks
 from repro.cpd.als import cp_als
 from repro.faults import (
@@ -90,6 +91,19 @@ def test_kernel_checks_deadline_at_slab_boundaries():
         with pytest.raises(DeadlineExceeded) as err:
             # slab_nnz=64 forces many slab boundaries
             csf_mttkrp(csf, factors, out=out, slab_nnz=64)
+    assert err.value.where == "kernel.slab"
+
+
+def test_threaded_kernel_polls_ambient_deadline():
+    """Pool threads run in a copy of the caller's context, so the kernel
+    passes of a threaded MTTKRP see the ambient deadline."""
+    tensor = random_coo((30, 20, 10), 3_000, default_rng(0))
+    factors = make_factors(tensor.shape, 4)
+    expired = Deadline(5.0, clock=fake_clock([0.0, 100.0]))
+    with deadline_scope(expired):
+        with pytest.raises(DeadlineExceeded) as err:
+            repro.mttkrp(tensor, factors, 0, format="hb-csf",
+                         backend="threads", num_workers=2)
     assert err.value.where == "kernel.slab"
 
 

@@ -5,8 +5,9 @@ one pass, threads against serial), so a change of summation order inside
 the kernels passes them all.  This one does not: ``golden_mttkrp.json``
 holds the digest of every output over formats x modes x float32/float64 x
 serial/2-thread backends x slab budgets (default, 7 nonzeros, single rank
-row) on two seeded tensors (order 3 with fibers longer than the 128-nonzero
-split threshold, and order 4), plus the CSL-only format on an all-singleton-fiber tensor.
+row) on three seeded tensors (order 3 with fibers longer than the 128-nonzero
+split threshold, order 4, and a small order 3 below ``SORT_MIN_NNZ``), plus
+the CSL-only format on an all-singleton-fiber tensor.
 
 Re-record only when a change of floating-point results is intended::
 
@@ -25,9 +26,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.formats import build_plan, get_format
+from repro.formats import build_plan
 from repro.kernels.coo_mttkrp import coo_mttkrp
-from repro.parallel.execute import threaded_mttkrp
 from repro.tensor.coo import CooTensor
 from repro.tensor.random_gen import random_coo
 from repro.util.prng import default_rng
@@ -42,10 +42,10 @@ BACKENDS = ("serial", "threads")
 #: ``DEFAULT_SLAB_ELEMS`` budgets: the default, 7 nonzeros at full rank, and
 #: one element, under which every kernel pass is a single rank row.
 SLABS = {"default": None, "7": 7 * RANK, "row": 1}
-#: formats run through ``repro.mttkrp``; ``coo-<method>`` pins one COO
-#: accumulator (``bincount`` is serial-only).
-FORMATS = ("coo", "coo-add_at", "coo-sort", "coo-bincount", "csf", "b-csf",
-           "hb-csf", "splatt", "splatt-tiled", "hicoo", "parti", "f-coo")
+#: formats run through ``repro.mttkrp``; ``coo-<method>`` calls the serial
+#: COO kernel with one accumulator pinned (no backend can be pinned to one).
+FORMATS = ("coo", "coo-add_at", "coo-sort", "csf", "b-csf", "hb-csf",
+           "splatt", "splatt-tiled", "hicoo", "parti", "f-coo")
 
 
 def long_fiber_tensor() -> CooTensor:
@@ -108,15 +108,16 @@ def digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def backends_for(fmt: str) -> tuple[str, ...]:
+    return ("serial",) if fmt.startswith("coo-") else BACKENDS
+
+
 def run_case(tensor, factors, fmt, mode, dtype, backend) -> np.ndarray:
     if not fmt.startswith("coo-"):
         return repro.mttkrp(tensor, factors, mode, format=fmt, dtype=dtype,
                             backend=backend, num_workers=2)
     method = fmt.split("-", 1)[1]
     rep = build_plan(tensor, "coo", mode).rep
-    if backend == "threads":
-        return threaded_mttkrp(get_format("coo"), rep, factors, mode,
-                               dtype=dtype, coo_method=method, num_workers=2)
     return coo_mttkrp(rep, factors, mode, method=method, dtype=dtype)
 
 
@@ -132,9 +133,7 @@ def digests_for(name: str, fmt: str) -> dict[str, str]:
             csf_kernels.DEFAULT_SLAB_ELEMS = SLABS[slab] or default_elems
             for mode in range(tensor.order):
                 for dtype in DTYPES:
-                    for backend in BACKENDS:
-                        if fmt == "coo-bincount" and backend == "threads":
-                            continue
+                    for backend in backends_for(fmt):
                         key = f"{name}/{fmt}/m{mode}/{dtype}/{backend}/slab-{slab}"
                         out[key] = digest(run_case(tensor, factors, fmt, mode,
                                                    dtype, backend))
@@ -162,9 +161,8 @@ def test_outputs_match_golden_digests(golden, name, fmt):
 
 
 def test_fixture_covers_every_case(golden):
-    per_case = len(SLABS) * len(DTYPES) * len(BACKENDS)
     expected = sum(
-        make().order * (per_case // 2 if fmt == "coo-bincount" else per_case)
+        make().order * len(SLABS) * len(DTYPES) * len(backends_for(fmt))
         for name, (make, fmts) in TENSORS.items() for fmt in fmts)
     assert len(golden) == expected
 

@@ -76,7 +76,7 @@ def test_every_format_ignores_factor_and_out_layout(fmt, dtype):
                                               olayout)
 
 
-@pytest.mark.parametrize("method", ["add_at", "sort", "bincount"])
+@pytest.mark.parametrize("method", ["add_at", "sort"])
 def test_coo_accumulators_ignore_layout(method):
     tensor = general_tensor()
     for mode in range(tensor.order):

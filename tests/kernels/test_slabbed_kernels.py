@@ -2,8 +2,7 @@
 
 Every kernel runs in passes of rank rows ``[r0, r1)`` times a nonzero
 range that splits only where its reduction allows (CSF root entries, CSL
-slices, COO ``sort`` runs; COO ``add_at`` anywhere; COO ``bincount`` rank
-rows only).  Each rank row's arithmetic is independent of the others, so
+slices, COO ``sort`` runs; COO ``add_at`` anywhere).  Each rank row's arithmetic is independent of the others, so
 the result must be bit-identical to the single-pass evaluation for every
 budget, from one rank row over one unit to the full rank over every
 nonzero, on the serial and the threaded backends.  The scratch a pass
@@ -22,9 +21,8 @@ from repro import mttkrp
 from repro.core.csl import build_csl_group
 from repro.core.hybrid import build_hbcsf
 from repro.formats import build_plan, get_format
-from repro.kernels.coo_mttkrp import coo_mttkrp
+from repro.kernels.coo_mttkrp import SORT_MIN_NNZ, coo_mttkrp
 from repro.kernels.csl_mttkrp import csl_mttkrp
-from repro.parallel.execute import threaded_mttkrp
 from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import build_csf
@@ -237,9 +235,15 @@ def small_coo():
     return random_coo((20, 15, 12), 400, default_rng(5))
 
 
+def large_coo():
+    t = random_coo((20, 60, 40), 2_500, default_rng(5))
+    assert t.nnz >= SORT_MIN_NNZ
+    return t
+
+
 class TestCooSlabs:
     @pytest.mark.parametrize("budget", CASES, ids=CASE_IDS, indirect=True)
-    @pytest.mark.parametrize("method", ["add_at", "sort", "bincount"])
+    @pytest.mark.parametrize("method", ["add_at", "sort"])
     def test_bit_identical_across_budgets(self, budget, method):
         t = small_coo()
         factors = factors_for(t.shape, budget)
@@ -249,14 +253,17 @@ class TestCooSlabs:
             assert_same_bits(coo_mttkrp(t, factors, mode, method=method), want)
 
     @pytest.mark.parametrize("budget", CASES, ids=CASE_IDS, indirect=True)
-    @pytest.mark.parametrize("method", ["add_at", "sort"])
-    def test_threads_match_serial(self, budget, method):
-        t = small_coo()
+    @pytest.mark.parametrize("make", [small_coo, large_coo],
+                             ids=["add_at", "sort"])
+    def test_threads_match_serial(self, budget, make):
+        """Threaded COO replays serial's ``"auto"`` accumulator on each
+        side of ``SORT_MIN_NNZ``."""
+        t = make()
         factors = factors_for(t.shape, budget)
         rep = build_plan(t, "coo", 0).rep
-        want = single_pass(lambda: coo_mttkrp(rep, factors, 0, method=method))
-        got = threaded_mttkrp(get_format("coo"), rep, factors, 0,
-                              coo_method=method, num_workers=2)
+        want = single_pass(lambda: coo_mttkrp(rep, factors, 0))
+        got = mttkrp(t, factors, 0, format="coo", backend="threads",
+                     num_workers=2)
         assert_same_bits(got, want)
 
 

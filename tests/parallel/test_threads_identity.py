@@ -104,20 +104,6 @@ def test_cp_als_trajectory_identical(skewed3d):
         assert np.array_equal(a, b)
 
 
-def test_threaded_rejects_bincount(skewed3d):
-    """The bincount accumulator writes every output row (one full-column
-    ``+=`` per factor column), so sharded execution would race on the
-    shared output — the threaded backend must refuse it outright."""
-    from repro.parallel.execute import threaded_mttkrp
-
-    spec = get_format("coo")
-    built = build_plan(skewed3d, "coo", 0)
-    factors = make_factors(skewed3d.shape, 8, seed=41)
-    with pytest.raises(ValidationError, match="serial-only"):
-        threaded_mttkrp(spec, built.rep, factors, 0,
-                        coo_method="bincount", num_workers=2)
-
-
 def test_baseline_formats_fall_back_to_serial(small3d):
     """Formats without a sharder (the baselines) accept backend="threads"
     and silently run their serial kernel."""

@@ -8,9 +8,9 @@ from repro.tune import DecisionCache, TuneDecision
 from repro.util.errors import ValidationError
 
 
-def _decision(fmt: str = "hb-csf", method: str | None = None) -> TuneDecision:
-    return TuneDecision(format=fmt, coo_method=method, mode=0, rank_bucket=32,
-                        dtype="float64", timings=((fmt, 1e-4),))
+def _decision(fmt: str = "hb-csf") -> TuneDecision:
+    return TuneDecision(format=fmt, mode=0, rank_bucket=32, dtype="float64",
+                        timings=((fmt, 1e-4),))
 
 
 def _key(fp: str = "fp", mode: int = 0) -> tuple:
@@ -50,7 +50,7 @@ class TestDecisionCache:
 
     def test_discard_by_format(self):
         cache = DecisionCache()
-        cache.put(_key("a"), _decision("coo", "sort"))
+        cache.put(_key("a"), _decision("coo"))
         cache.put(_key("b"), _decision("hb-csf"))
         assert cache.discard(format="coo") == 1
         assert cache.get(_key("b")) is not None

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.mttkrp import MttkrpPlan, mttkrp
-from repro.formats import build_plan
-from repro.kernels.coo_mttkrp import coo_mttkrp
 from repro.tensor.dense import dense_mttkrp
 from repro.tune import (
     ProbeBudget,
@@ -40,10 +38,14 @@ class TestRankBucket:
 
 
 class TestEnumerateCandidates:
-    def test_coo_expands_into_variants(self, medium3d):
+    def test_one_coo_candidate_per_backend(self, medium3d):
         labels = [c.label for c in enumerate_candidates(medium3d, 0)]
-        assert labels[:3] == ["coo:add_at", "coo:sort", "coo:bincount"]
+        assert labels[0] == "coo" and labels.count("coo") == 1
         assert "csf" in labels and "b-csf" in labels and "hb-csf" in labels
+        both = enumerate_candidates(medium3d, 0,
+                                    backends=("serial", "threads"))
+        assert [c.label for c in both if c.format == "coo"] == [
+            "coo", "coo+threads"]
 
     def test_csl_only_when_eligible(self, medium3d, singleton3d):
         assert "csl" not in [c.label for c in enumerate_candidates(medium3d, 0)]
@@ -154,13 +156,9 @@ class TestAutoDispatch:
         for mode in range(medium3d.order):
             auto = mttkrp(medium3d, factors, mode, format="auto")
             decision = decide(medium3d, mode, 32)   # cache hit: same winner
-            if decision.coo_method is not None:
-                rep = build_plan(medium3d, "coo", mode).rep
-                explicit = coo_mttkrp(rep, factors, mode,
-                                      method=decision.coo_method)
-            else:
-                explicit = mttkrp(medium3d, factors, mode,
-                                  format=decision.format)
+            explicit = mttkrp(medium3d, factors, mode, format=decision.format,
+                              backend=decision.backend,
+                              num_workers=decision.num_workers)
             assert auto.dtype == np.float64
             assert np.array_equal(auto, explicit)
 

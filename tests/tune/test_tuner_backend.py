@@ -25,27 +25,15 @@ def test_serial_grid_has_no_threads_candidates(medium3d):
 def test_threads_grid_doubles_sharded_formats(medium3d):
     serial = enumerate_candidates(medium3d, 0)
     both = enumerate_candidates(medium3d, 0, backends=("serial", "threads"))
-    # every sharded format gains a +threads twin except coo:bincount (its
-    # accumulator writes every output row, so shards would race); on
-    # medium3d every serial candidate's format has a sharder
-    assert len(both) == 2 * len(serial) - 1
+    # every sharded format gains a +threads twin; on medium3d every serial
+    # candidate's format has a sharder
+    assert len(both) == 2 * len(serial)
     threaded = [c for c in both if c.backend == "threads"]
     assert threaded and all(c.label.endswith("+threads") for c in threaded)
     # serial-first within each format: the tie-break favours serial
     for fmt in {c.format for c in both}:
-        entries = [c for c in both if c.format == fmt and c.coo_method in
-                   (None, both[0].coo_method)]
+        entries = [c for c in both if c.format == fmt]
         assert entries[0].backend == "serial"
-
-
-def test_threads_grid_excludes_coo_bincount(medium3d):
-    """coo:bincount never gets a threads twin — running it sharded would
-    race on the shared output (every shard writes all rows)."""
-    both = enumerate_candidates(medium3d, 0, backends=("serial", "threads"))
-    labels = [c.label for c in both]
-    assert "coo:bincount" in labels
-    assert "coo:bincount+threads" not in labels
-    assert "coo:sort+threads" in labels and "coo:add_at+threads" in labels
 
 
 def test_decision_key_distinguishes_backend_grid(medium3d):
