@@ -43,7 +43,7 @@ BACKENDS = ("serial", "threads")
 #: one element, under which every kernel pass is a single rank row.
 SLABS = {"default": None, "7": 7 * RANK, "row": 1}
 #: formats run through ``repro.mttkrp``; ``coo-<method>`` calls the serial
-#: COO kernel with one accumulator pinned (no backend can be pinned to one).
+#: COO kernel with one accumulator pinned (threads always replay ``"auto"``).
 FORMATS = ("coo", "coo-add_at", "coo-sort", "csf", "b-csf", "hb-csf",
            "splatt", "splatt-tiled", "hicoo", "parti", "f-coo")
 
