@@ -14,15 +14,20 @@ solves of the same tensor (rank sweeps, figure drivers, bench laps) pay the
 format construction once; the reported ``preprocessing_seconds`` remains the
 recorded cost of the original build.
 
-The inner loop is allocation-free on its hot path: one ``(shape[m], R)``
-output workspace per mode and one ``(R, R)`` Hadamard buffer are allocated
-at solve start and reused every sweep (kernels accumulate into ``out=``),
-per-factor Gram matrices are cached and only the updated factor's Gram is
-recomputed, and the kernels run with ``validate=False`` — the factor shapes
-are fixed by the solver itself, so re-checking them (and re-scanning CSF
-pointers) every inner step would be pure overhead.  Factors and workspaces
-stay F-contiguous, the rank-major layout the kernels read and write
-(:func:`repro.kernels.csf_mttkrp.rank_major`), so no sweep copies a factor.
+The inner loop allocates little on its hot path.  Each mode update
+allocates one fresh ``(shape[m], R)`` factor — the solve product, which is
+normalised in place and becomes the new factor — and, for outputs above
+``_WORKSPACE_MAX_BYTES``, one fresh MTTKRP output.  Smaller outputs go to a
+per-mode workspace and the Gram Hadamard product to one ``(R, R)`` buffer,
+both allocated at solve start and reused every sweep (kernels accumulate
+into ``out=``).  Per-factor Gram matrices are cached and only the updated
+factor's Gram is recomputed, and the kernels run with ``validate=False`` —
+the factor shapes are fixed by the solver itself, so re-checking them (and
+re-scanning CSF pointers) every inner step would be pure overhead.  Factors
+and workspaces stay F-contiguous, the rank-major layout the kernels read
+and write (:func:`repro.kernels.csf_mttkrp.rank_major`), so no sweep copies
+a factor, and the committed-iteration snapshot kept for deadlines is a
+shallow list (factor arrays are replaced, never written in place).
 """
 
 from __future__ import annotations
@@ -259,9 +264,13 @@ def cp_als(
     # deadline installed by a caller such as the bench runner's cell
     # timeout), keep a snapshot of the last *committed* iteration so
     # ``DeadlineExceeded.partial`` never exposes a half-swept factor set.
+    # The snapshot shares arrays with the live solve: ``weights`` and each
+    # ``factors[m]`` are only ever replaced by fresh arrays (the solve
+    # product of their mode update), never written in place, so a shallow
+    # list keeps the committed values.
     watchdog = dl is not None or current_deadline() is not None
-    committed = (np.array(weights), [f.copy() for f in factors],
-                 list(fits), iterations) if watchdog else None
+    committed = (weights, list(factors), list(fits),
+                 iterations) if watchdog else None
 
     with span("als.solve", format=plan.format, rank=rank,
               n_iters=n_iters, nnz=tensor.nnz) as solve_sp:
@@ -296,19 +305,25 @@ def cp_als(
                                 new_factor = (np.linalg.pinv(v_buf).T
                                               @ m_mat.T).T
 
-                                # normalise columns into the weights
+                                # normalise columns into the weights:
+                                # the column 2-norm (np.linalg.norm's own
+                                # real-input reduction, without its conj
+                                # copy) first, then the max-abs, both
+                                # without an abs / norm temporary
                                 if iteration == 0:
-                                    norms = np.linalg.norm(new_factor,
-                                                           axis=0)
+                                    norms = np.sqrt(np.add.reduce(
+                                        new_factor * new_factor, axis=0))
                                 else:
                                     norms = np.maximum(
-                                        np.max(np.abs(new_factor), axis=0),
+                                        np.maximum(new_factor.max(axis=0),
+                                                   -new_factor.min(axis=0)),
                                         1.0)
                                 norms[norms == 0.0] = 1.0
-                                new_factor = (new_factor / norms).astype(
+                                # new_factor is this mode's fresh product
+                                np.divide(new_factor, norms, out=new_factor)
+                                new_factor = new_factor.astype(
                                     compute_dtype, copy=False)
-                                weights = np.asarray(norms,
-                                                     dtype=np.float64)
+                                weights = norms
 
                                 factors[mode] = new_factor
                                 grams[mode] = (
@@ -331,9 +346,8 @@ def cp_als(
                         if len(fits) > 1 and abs(fits[-1] - fits[-2]) < tol:
                             converged = True
                     if watchdog:
-                        committed = (np.array(weights),
-                                     [f.copy() for f in factors],
-                                     list(fits), iterations)
+                        committed = (weights, list(factors), list(fits),
+                                     iterations)
                     if checkpoint is not None and (
                             converged or iterations == n_iters
                             or iterations % checkpoint_every == 0):

@@ -46,6 +46,13 @@ def _as_index_array(indices: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray
 class CooTensor:
     """Immutable N-order coordinate sparse tensor.
 
+    The index and value arrays are read-only from construction on, so the
+    content the caches keyed by a tensor (its memoised fingerprint, the
+    build-plan cache) have seen cannot change under them.  An input array
+    stored without a copy (already ``int64`` / ``float64`` and contiguous)
+    is made read-only in place; pass a copy to keep writing into it, or
+    derive a new tensor with :meth:`with_values`.
+
     Attributes
     ----------
     indices:
@@ -74,7 +81,9 @@ class CooTensor:
         sum_duplicates: bool = False,
     ) -> None:
         idx = _as_index_array(indices)
-        vals = np.ascontiguousarray(np.asarray(values, dtype=VALUE_DTYPE)).ravel()
+        vals = np.ascontiguousarray(values, dtype=VALUE_DTYPE)
+        if vals.ndim != 1:
+            vals = vals.ravel()
         if idx.shape[0] != vals.shape[0]:
             raise ValidationError(
                 f"{idx.shape[0]} index rows but {vals.shape[0]} values"
@@ -96,6 +105,9 @@ class CooTensor:
         if sum_duplicates and idx.shape[0]:
             idx, vals = _sorted_unique(idx, vals, shape, tuple(range(len(shape))))
 
+        # frozen, not copied: see the class docstring
+        idx.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "shape", shape)

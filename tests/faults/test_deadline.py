@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.bench.runner import BenchConfig, run_benchmarks
+from repro.core.mttkrp import MttkrpPlan
 from repro.cpd.als import cp_als
 from repro.faults import (
     Deadline,
@@ -17,6 +18,7 @@ from repro.faults import (
     inject,
 )
 from repro.kernels.csf_mttkrp import csf_mttkrp
+from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.csf import build_csf
 from repro.tensor.random_gen import random_coo
 from repro.util.errors import DeadlineExceeded, ValidationError
@@ -118,23 +120,50 @@ def test_stall_fault_drives_kernel_deadline():
                 csf_mttkrp(csf, factors, out=out, slab_nnz=64)
 
 
+def assert_bit_equal_solves(got, want):
+    assert got.iterations == want.iterations
+    assert got.fits == want.fits
+    assert not got.converged
+    for a, b in zip([got.weights, *got.factors],
+                    [want.weights, *want.factors], strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
 def test_cp_als_deadline_carries_committed_partial():
     tensor = random_coo((12, 11, 10), 350, default_rng(2))
-    ref = cp_als(tensor, 4, n_iters=6, tol=0.0,
-                 rng=default_rng(3))
+    ref = cp_als(tensor, 4, n_iters=3, tol=0.0, rng=default_rng(3))
     # a stall at iteration 4 blows a generous budget after 3 committed
-    # iterations; the partial must be exactly the 3-iteration trajectory
+    # iterations; the partial must be exactly the 3-iteration solve
     with inject("als.iteration:stall@seconds=0.25,hit=4"):
         with pytest.raises(DeadlineExceeded) as err:
             cp_als(tensor, 4, n_iters=6, tol=0.0, rng=default_rng(3),
                    deadline=0.2)
-    partial = err.value.partial
-    assert partial is not None
-    assert partial.iterations == 3
-    assert partial.fits == ref.fits[:3]
-    assert not partial.converged
-    for got, want in zip(partial.factors, ref.factors):
-        assert got.shape == want.shape
+    assert err.value.partial is not None
+    assert_bit_equal_solves(err.value.partial, ref)
+
+
+def test_cp_als_deadline_mid_sweep_partial_is_last_committed():
+    """The deadline expires in mode 1 of iteration 4, after mode 0 has
+    replaced its factor: the partial still holds the 3-iteration factor
+    set, not a half-swept one."""
+    tensor = random_coo((12, 11, 10), 350, default_rng(2))
+    kwargs = dict(tol=0.0, rng=3, backend="serial")
+    ref = cp_als(tensor, 4, n_iters=3, **kwargs)
+    plan = MttkrpPlan(tensor, format="hb-csf", backend="serial")
+    factors = make_factors(tensor.shape, 4)
+    passes = []
+    for mode in plan.modes:
+        before = counters_snapshot()
+        plan.mttkrp(factors, mode)
+        passes.append(counters_delta(before)["kernel.passes"])
+    hit = 3 * sum(passes) + passes[0] + 1  # first pass of iteration 4, mode 1
+    with inject(f"kernel.slab:stall@seconds=0.25,hit={hit}") as faults:
+        with pytest.raises(DeadlineExceeded) as err:
+            cp_als(tensor, 4, n_iters=6, deadline=0.2, **kwargs)
+    assert err.value.where == "kernel.slab"
+    assert faults.hits("kernel.slab") == hit
+    assert_bit_equal_solves(err.value.partial, ref)
 
 
 def test_bench_cell_timeout_records_status_and_continues():

@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor, csf_mode_ordering
+from repro.tensor.random_gen import random_coo
 from repro.util.errors import DimensionError, ValidationError
+from repro.util.prng import default_rng
+from tests.conftest import make_factors
 
 
 class TestConstruction:
@@ -69,6 +73,46 @@ class TestConstruction:
                       (2, 2, 2), sum_duplicates=True)
         assert t.nnz == 2
         assert t.to_dense()[0, 0, 0] == pytest.approx(3.5)
+
+
+class TestFrozenArrays:
+    """A tensor's content cannot change after construction, so a cache
+    keyed by the tensor never serves a result of content it no longer
+    holds."""
+
+    @pytest.mark.parametrize("fmt", ["hb-csf", "auto", "csf", "coo"])
+    def test_mutation_raises_and_cached_results_stay_true(self, fmt):
+        x = random_coo((20, 30, 25), 900, default_rng(3))
+        factors = make_factors(x.shape, 6, seed=4)
+        before = repro.mttkrp(x, factors, 0, format=fmt)
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(x.values, 2, out=x.values)
+        with pytest.raises(ValueError, match="read-only"):
+            x.indices[0, 0] = 1
+        np.testing.assert_array_equal(
+            repro.mttkrp(x, factors, 0, format=fmt), before)
+        # the supported way to change values: a new tensor (doubling is
+        # exact, so its MTTKRP is exactly twice the old one)
+        doubled = x.with_values(x.values * 2)
+        np.testing.assert_array_equal(
+            repro.mttkrp(doubled, factors, 0, format=fmt), 2 * before)
+
+    def test_input_stored_without_copy_is_frozen(self):
+        idx = np.array([[0, 1, 2], [1, 0, 3]], dtype=np.int64)
+        vals = np.array([1.5, -2.0])
+        t = CooTensor(idx, vals, (2, 2, 4))
+        assert t.values is vals and not vals.flags.writeable
+        assert t.indices is idx and not idx.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 3.0
+
+    def test_converted_input_stays_writeable(self):
+        idx = np.array([[0, 1, 2], [1, 0, 3]], dtype=np.int32)
+        vals = [1.5, -2.0]
+        t = CooTensor(idx, vals, (2, 2, 4))
+        assert idx.flags.writeable
+        assert not t.indices.flags.writeable
+        assert not t.values.flags.writeable
 
 
 class TestUnpackableShape:
