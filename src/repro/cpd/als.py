@@ -306,10 +306,10 @@ def cp_als(
                                               @ m_mat.T).T
 
                                 # normalise columns into the weights:
-                                # the column 2-norm (np.linalg.norm's own
-                                # real-input reduction, without its conj
-                                # copy) first, then the max-abs, both
-                                # without an abs / norm temporary
+                                # the 2-norm in the first iteration
+                                # (np.linalg.norm's own real-input
+                                # reduction, minus its conj() copy), the
+                                # max-abs after it (no abs temporary)
                                 if iteration == 0:
                                     norms = np.sqrt(np.add.reduce(
                                         new_factor * new_factor, axis=0))
@@ -319,7 +319,8 @@ def cp_als(
                                                    -new_factor.min(axis=0)),
                                         1.0)
                                 norms[norms == 0.0] = 1.0
-                                # new_factor is this mode's fresh product
+                                # in place: new_factor is this mode's
+                                # fresh solve product, shared with nothing
                                 np.divide(new_factor, norms, out=new_factor)
                                 new_factor = new_factor.astype(
                                     compute_dtype, copy=False)

@@ -97,22 +97,17 @@ class TestFrozenArrays:
         np.testing.assert_array_equal(
             repro.mttkrp(doubled, factors, 0, format=fmt), 2 * before)
 
-    def test_input_stored_without_copy_is_frozen(self):
+    def test_inputs_stored_without_copy_are_frozen(self):
         idx = np.array([[0, 1, 2], [1, 0, 3]], dtype=np.int64)
         vals = np.array([1.5, -2.0])
         t = CooTensor(idx, vals, (2, 2, 4))
-        assert t.values is vals and not vals.flags.writeable
-        assert t.indices is idx and not idx.flags.writeable
+        assert t.indices is idx and t.values is vals
         with pytest.raises(ValueError, match="read-only"):
             vals[0] = 3.0
-
-    def test_converted_input_stays_writeable(self):
-        idx = np.array([[0, 1, 2], [1, 0, 3]], dtype=np.int32)
-        vals = [1.5, -2.0]
-        t = CooTensor(idx, vals, (2, 2, 4))
-        assert idx.flags.writeable
-        assert not t.indices.flags.writeable
-        assert not t.values.flags.writeable
+        # an input converted on the way in is the caller's alone
+        idx32 = idx.astype(np.int32)
+        t = CooTensor(idx32, [1.5, -2.0], (2, 2, 4))
+        assert idx32.flags.writeable and not t.indices.flags.writeable
 
 
 class TestUnpackableShape:
