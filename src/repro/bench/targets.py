@@ -143,8 +143,11 @@ def bench_factors(shape: tuple[int, ...], rank: int,
 
     ``dtype`` applies the compute-dtype policy (:mod:`repro.util.dtypes`);
     the float32 factors are the float64 draws cast down, so both dtypes
-    measure the same problem.  The factors are F-contiguous, the kernels'
-    rank-major layout, so a cell times the kernel and not a layout copy.
+    measure the same problem.  The factors are F-contiguous, the CSF tree
+    kernel's rank-major layout, so a tree-kernel cell times the kernel and
+    not a layout copy.  The row-major CSL and COO kernels (and the HB-CSF
+    groups that run them) convert the gathered modes to row tables once
+    per call, and a cell's time includes that copy, as an ALS sweep's does.
     """
     from repro.kernels.csf_mttkrp import rank_major
     from repro.util.dtypes import resolve_dtype

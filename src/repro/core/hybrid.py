@@ -21,7 +21,7 @@ from repro.core.bcsf import BcsfTensor, build_bcsf
 from repro.core.csl import CslGroup, empty_csl_group
 from repro.core.splitting import SplitConfig
 from repro.kernels.coo_mttkrp import coo_mttkrp
-from repro.kernels.csf_mttkrp import rank_major
+from repro.kernels.csf_mttkrp import rank_major, row_major
 from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_ordering
 from repro.tensor.csf import CsfTensor, _CsfAssembler, _level_bounds, _sorted_chunks
 from repro.tensor.dense import _check_factors
@@ -185,8 +185,9 @@ class HbcsfTensor:
         run with ``validate=False`` — their structures were validated at
         build time and re-scanning the pointers on every call would undo
         the fast path.  ``validate=False`` skips the shape check too.  The
-        factors are converted to the kernels' rank-major layout once here,
-        not once per group.
+        factors are converted once here, not once per group, and only for
+        the groups present: to C-contiguous row tables for the row-major
+        COO and CSL kernels, to the rank-major layout for the B-CSF tree.
         """
         if validate:
             rank = _check_factors(self.shape, factors, self.root_mode)
@@ -197,14 +198,18 @@ class HbcsfTensor:
             out = np.zeros((rows, rank), dtype=resolve_dtype(dtype), order="F")
         elif out.shape != (rows, rank):
             raise DimensionError(f"out has shape {out.shape}, expected {(rows, rank)}")
-        factors = rank_major(factors, out.dtype, skip=self.root_mode)
-        if self.coo_group.nnz:
-            coo_mttkrp(self.coo_group, factors, self.root_mode, out=out,
-                       validate=False)
-        if self.csl_group.nnz:
-            self.csl_group.mttkrp(factors, out, validate=False)
+        if self.coo_group.nnz or self.csl_group.nnz:
+            tables = row_major(factors, out.dtype, skip=self.root_mode)
+            if self.coo_group.nnz:
+                coo_mttkrp(self.coo_group, tables, self.root_mode, out=out,
+                           validate=False)
+            if self.csl_group.nnz:
+                self.csl_group.mttkrp(tables, out, validate=False)
+            del tables  # free any copies before the tree kernel's scratch
         if self.bcsf_group is not None and self.bcsf_group.nnz:
-            self.bcsf_group.mttkrp(factors, out=out, validate=False)
+            self.bcsf_group.mttkrp(
+                rank_major(factors, out.dtype, skip=self.root_mode),
+                out=out, validate=False)
         return out
 
     def index_storage_words(self) -> int:

@@ -24,9 +24,11 @@ into ``out=``).  Per-factor Gram matrices are cached and only the updated
 factor's Gram is recomputed, and the kernels run with ``validate=False`` —
 the factor shapes are fixed by the solver itself, so re-checking them (and
 re-scanning CSF pointers) every inner step would be pure overhead.  Factors
-and workspaces stay F-contiguous, the rank-major layout the kernels read
-and write (:func:`repro.kernels.csf_mttkrp.rank_major`), so no sweep copies
-a factor, and the committed-iteration snapshot kept for deadlines is a
+and workspaces stay F-contiguous, the rank-major layout the CSF tree
+kernel reads and every kernel writes
+(:func:`repro.kernels.csf_mttkrp.rank_major`), so the solver copies no
+factor (the row-major CSL and COO kernels take one row-table copy of the
+modes they gather per dispatch), and the committed-iteration snapshot kept for deadlines is a
 shallow list (factor arrays are replaced, never written in place).
 """
 
@@ -40,7 +42,7 @@ import numpy as np
 from repro.core.mttkrp import MttkrpPlan
 from repro.core.splitting import SplitConfig
 from repro.cpd.checkpoint import load_checkpoint, save_checkpoint
-from repro.cpd.fit import cp_fit, tensor_norm
+from repro.cpd.fit import column_dots, cp_fit, tensor_norm
 from repro.cpd.init import init_factors
 from repro.faults.deadline import (
     as_deadline,
@@ -308,11 +310,11 @@ def cp_als(
                                 # normalise columns into the weights:
                                 # the 2-norm in the first iteration
                                 # (np.linalg.norm's own real-input
-                                # reduction, minus its conj() copy), the
+                                # reduction, a column at a time), the
                                 # max-abs after it (no abs temporary)
                                 if iteration == 0:
-                                    norms = np.sqrt(np.add.reduce(
-                                        new_factor * new_factor, axis=0))
+                                    norms = np.sqrt(column_dots(new_factor,
+                                                                new_factor))
                                 else:
                                     norms = np.maximum(
                                         np.maximum(new_factor.max(axis=0),

@@ -17,12 +17,26 @@ import numpy as np
 from repro.tensor.coo import CooTensor
 from repro.util.errors import DimensionError
 
-__all__ = ["tensor_norm", "cp_norm", "cp_innerprod", "cp_fit"]
+__all__ = ["tensor_norm", "cp_norm", "cp_innerprod", "cp_fit", "column_dots"]
 
 
 def tensor_norm(tensor: CooTensor) -> float:
     """Frobenius norm of a sparse tensor."""
     return float(np.linalg.norm(tensor.values))
+
+
+def column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sum(a * b, axis=0)`` of two ``(I, R)`` arrays, one column at a
+    time through a single reused ``(I,)`` buffer instead of an ``(I, R)``
+    temporary.  Each column is summed by the same pairwise reduction, so
+    the result is bit-identical for the F-contiguous arrays CP-ALS keeps.
+    """
+    buf = np.empty(a.shape[0], dtype=np.result_type(a, b))
+    dots = np.empty(a.shape[1], dtype=buf.dtype)
+    for r in range(a.shape[1]):
+        np.multiply(a[:, r], b[:, r], out=buf)
+        dots[r] = np.add.reduce(buf)
+    return dots
 
 
 def cp_norm(weights: np.ndarray, factors: list[np.ndarray],
@@ -61,7 +75,7 @@ def cp_innerprod(tensor: CooTensor, weights: np.ndarray,
     Otherwise it is accumulated directly from the nonzeros.
     """
     if mttkrp_last is not None and last_mode is not None:
-        per_col = np.sum(factors[last_mode] * mttkrp_last, axis=0)
+        per_col = column_dots(factors[last_mode], mttkrp_last)
         return float(per_col @ weights)
     if tensor.nnz == 0:
         return 0.0

@@ -23,8 +23,8 @@ def init_factors(
     method: str = "random",
     rng: np.random.Generator | int | None = None,
 ) -> list[np.ndarray]:
-    """Initial factor matrices for CPD-ALS, F-contiguous (the MTTKRP
-    kernels' rank-major layout).
+    """Initial factor matrices for CPD-ALS, F-contiguous (the CSF tree
+    kernel's rank-major layout, and the one CP-ALS keeps).
 
     Each factor is drawn C-ordered, as one ``(I, R)`` draw from ``rng``,
     then copied into its F-ordered array: its values equal the C-order

@@ -87,7 +87,7 @@ def _coo_builder(tensor, mode, config):
     # float64 interchange format, so this builder deliberately takes no
     # dtype parameter: the representation is dtype-independent (one plan
     # cache entry serves every compute dtype) and the kernel applies the
-    # dtype policy per call (values cast on the fly; the rank-major
+    # dtype policy per call (values cast on the fly; the row-major
     # accumulator — the dominant traffic — is computed in the compute
     # dtype either way).  A sharded input is materialised: the COO kernel
     # walks raw index columns, so the representation is the arrays.

@@ -226,9 +226,11 @@ class FormatSpec:
                 extras["validate"] = False
             if dtype is not None and "dtype" in supported:
                 extras["dtype"] = dtype
-            # One layout conversion per dispatch, in the kernel's compute
-            # dtype when that is known: every group, pass and kernel below
-            # then reads the factors without copying them.
+            # One rank-major conversion per dispatch, in the kernel's
+            # compute dtype when that is known: every CSF tree kernel,
+            # group and pass below then reads the factors without copying
+            # them.  The row-major CSL and COO kernels take their row
+            # tables from these once per call (HB-CSF once for both).
             compute = (out.dtype if out is not None else resolve_dtype(dtype)
                        if "dtype" in supported else None)
             factors = rank_major(factors, compute, skip=mode)

@@ -23,26 +23,33 @@ the scatter path for tiny ones, where sort overhead dominates
 addition order (they agree to allclose tolerance; per-row partial sums are
 reassociated).
 
-The kernel runs in passes of rank rows times nonzeros (see
-:func:`repro.kernels.csf_mttkrp.kernel_passes`), so its scratch stays
-within :data:`~repro.kernels.csf_mttkrp.DEFAULT_SLAB_ELEMS` elements per
-array like every other kernel's.  Where a pass may split the nonzeros
-depends on the accumulator, and keeps every output bit of the single-pass
-evaluation: ``"sort"`` passes split only between runs of one target index,
-``"add_at"`` passes anywhere (its adds land in nonzero order either way).
+The kernel runs in passes (see
+:func:`repro.kernels.csf_mttkrp.kernel_passes`) of every rank row times
+about :data:`~repro.kernels.csf_mttkrp.ROW_PASS_NNZ` nonzeros, so its
+scratch stays in L2 and within
+:data:`~repro.kernels.csf_mttkrp.DEFAULT_SLAB_ELEMS` elements per array
+like every other kernel's.  Where a pass may split the nonzeros depends
+on the accumulator, and keeps every output bit of the single-pass
+evaluation: ``"sort"`` passes split only between runs of one target index
+(a run longer than a pass is one pass, in rank blocks if its full rank
+exceeds the budget), ``"add_at"`` passes anywhere (its adds land in
+nonzero order either way).
 
-The Hadamard accumulator of a pass is a rank-major ``(rows, nnz)`` array
-formed by scaling the *first* gathered factor by the values in place — no
-all-ones matrix is materialised — and is computed in the requested compute
-dtype (``float32`` halves the memory traffic of this bandwidth-bound
-kernel; see :mod:`repro.util.dtypes`).
+The Hadamard accumulator of a pass is a row-major ``(n, R)`` array of
+whole factor rows gathered from C-contiguous ``(I, R)`` row tables
+(:func:`~repro.kernels.csf_mttkrp.row_major`), formed by scaling the
+*first* gathered factor by the values in place — no all-ones matrix is
+materialised — and is computed in the requested compute dtype
+(``float32`` halves the memory traffic of this bandwidth-bound kernel;
+see :mod:`repro.util.dtypes`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.csf_mttkrp import Scratch, kernel_passes, rank_major
+from repro.kernels.csf_mttkrp import (Scratch, kernel_passes, row_major,
+                                      row_pass_nnz)
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
@@ -87,7 +94,10 @@ def coo_mttkrp(
         Input sparse tensor.
     factors:
         One factor matrix per mode; ``factors[mode]`` is ignored (only its
-        shape is checked) exactly as in the paper's Algorithm 2.
+        shape is checked) exactly as in the paper's Algorithm 2.  The
+        others are converted to C-contiguous row tables
+        (:func:`~repro.kernels.csf_mttkrp.row_major`) unless they already
+        are.
     mode:
         Target mode.
     out:
@@ -130,7 +140,7 @@ def coo_mttkrp(
 
     if method == "auto":
         method = auto_method(tensor.nnz)
-    factors = rank_major(factors, out.dtype, skip=mode)
+    tables = row_major(factors, out.dtype, skip=mode)
     nnz = tensor.nnz
     target = tensor.indices[:, mode]
     perm = None
@@ -146,14 +156,16 @@ def coo_mttkrp(
     else:
         bounds = np.arange(nnz + 1)   # adds land in nonzero order anyway
     others = [m for m in range(tensor.order) if m != mode]
+    tables = [tables[m] for m in others]
 
     scratch = Scratch(out.dtype)
-    for start, stop, r0, r1 in kernel_passes(bounds, rank):
+    for start, stop, r0, r1 in kernel_passes(bounds, rank,
+                                             row_pass_nnz(rank)):
         if r0 == 0:
             lo, hi = int(bounds[start]), int(bounds[stop])
             sel = slice(lo, hi) if perm is None else perm[lo:hi]
             # contiguous intp columns: np.take's index form, made once for
-            # every row block's gathers
+            # every rank block's gathers
             cols = [np.ascontiguousarray(tensor.indices[sel, m], dtype=np.intp)
                     for m in others]
             vals = tensor.values[sel].astype(out.dtype, copy=False)
@@ -161,12 +173,10 @@ def coo_mttkrp(
             if method == "sort":
                 runs = bounds[start:stop] - lo
                 heads = idx[runs]
-        tables = [factors[m].T[r0:r1] for m in others]
-        acc = scratch.hadamard(tables, cols, vals, r1 - r0)
-        out_t = out.T[r0:r1]
+        acc = scratch.hadamard(tables, cols, vals, r0, r1)
         if method == "sort":
             # each run's head is a unique output row
-            out_t[:, heads] += np.add.reduceat(acc, runs, axis=1)
+            out[heads, r0:r1] += np.add.reduceat(acc, runs, axis=0)
         else:
-            np.add.at(out_t.T, idx, acc.T)
+            np.add.at(out[:, r0:r1], idx, acc)
     return out

@@ -11,27 +11,37 @@ the target mode it is exactly Equation (8) / Algorithm 3:
 Factoring the reductions this way is what saves the ``R (J - 1)``
 multiplications per fiber relative to COO (Section II-C).
 
-Kernel layout (shared by every kernel in :mod:`repro.kernels`): the
-per-nonzero scratch is a C-contiguous ``(rows, n)`` array of rank rows by
-nonzeros.  Factor rows are gathered with ``np.take(F.T[r0:r1], idx,
+Kernel layout.  The CSF tree kernel (CSF, B-CSF, the HB-CSF B-CSF group)
+is *rank-major*: its per-nonzero scratch is a C-contiguous ``(rows, n)``
+array of rank rows by nonzeros, gathered with ``np.take(F.T[r0:r1], idx,
 axis=1)`` from the ``(R, I)`` view of an F-contiguous ``(I, R)`` factor (see
-:func:`rank_major`), segments are reduced along the last axis, and each
+:func:`rank_major`).  Segments are reduced along the last axis, and each
 reduced row is written into ``out.T[r0:r1]`` once, with a plain indexed add
-wherever the target rows are unique.  The ``(rows, n)`` layout gives
-``np.add.reduceat`` contiguous segments, and reduceat associates a
+wherever the target rows are unique.  The CSL and COO kernels are
+*row-major*, like the paper's CSL kernel, whose warps read each nonzero's
+factor rows whole: they gather whole rows with ``np.take(T, idx, axis=0)``
+from C-contiguous ``(I, R)`` row tables (see :func:`row_major`) into an
+``(n, R)`` scratch, reduce slices or runs along axis 0 and add each
+reduced row into ``out`` once.  ``np.add.reduceat`` associates a
 segment's sum the same way along either axis, so the output bits do not
-depend on the layout (``tests/kernels/golden_mttkrp.json`` pins them).
+depend on the layout (``tests/kernels/golden_mttkrp.json`` pins them and
+``tests/kernels/test_reduceat_layout.py`` the invariant).
 
 Every kernel runs as a sequence of *passes* (:func:`kernel_passes`): a
 block of rank rows ``[r0, r1)`` times a nonzero range that splits only
 where the kernel's reduction allows (root entries, slices, runs of one
-target index).  The nonzero range is as long as :data:`DEFAULT_SLAB_ELEMS`
-allows and the rank rows fill the rest of the budget, so a gathered factor
-row is streamed once per pass over up to ``DEFAULT_SLAB_ELEMS //
-min(R, PASS_ROWS)`` nonzeros while the scratch stays within the budget.
-Each rank row's arithmetic is independent of the others, and each output
-row receives its partial sums in the same order, so the bits do not depend
-on the pass shape.
+target index).  For the tree kernel the nonzero range is as long as
+:data:`DEFAULT_SLAB_ELEMS` allows and the rank rows fill the rest of the
+budget, so a gathered factor row is streamed once per pass over up to
+``DEFAULT_SLAB_ELEMS // min(R, PASS_ROWS)`` nonzeros while the scratch
+stays within the budget.  The row kernels take every rank row over
+:func:`row_pass_nnz` nonzeros, so one pass's ``(n, R)`` arrays stay in
+L2.  A slice or run longer than that is still reduced by one
+``np.add.reduceat`` call (its pairwise sum cannot be split across passes);
+where its full rank would exceed the budget it falls back to rank blocks
+(:meth:`Scratch.hadamard`).  Each rank row's arithmetic is independent of
+the others, and each output row receives its partial sums in the same
+order, so the bits do not depend on the pass shape.
 """
 
 from __future__ import annotations
@@ -46,9 +56,10 @@ from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, TensorFormatError
 
-__all__ = ["csf_mttkrp", "segment_sum", "rank_major", "DEFAULT_SLAB_ELEMS",
-           "PASS_ROWS", "slab_nnz_for", "pass_rows", "kernel_passes",
-           "Scratch", "check_rows"]
+__all__ = ["csf_mttkrp", "segment_sum", "rank_major", "row_major",
+           "DEFAULT_SLAB_ELEMS", "PASS_ROWS", "ROW_PASS_NNZ", "slab_nnz_for",
+           "row_pass_nnz", "pass_rows", "kernel_passes", "Scratch",
+           "check_rows"]
 
 #: element budget of one kernel pass: the ``(rows, nonzeros)`` scratch
 #: arrays the CSF, CSL and COO kernels materialise hold at most this many
@@ -64,6 +75,13 @@ DEFAULT_SLAB_ELEMS = 1 << 22
 #: and gathered mode) at a fraction of the scratch budget.
 PASS_ROWS = 4
 
+#: nonzeros of one row-major pass of the CSL and COO kernels: each of its
+#: two ``(n, R)`` scratch arrays is 256 KB at R = 32 in float64, so a
+#: pass's gathers, products and column-wise ``reduceat`` stay within a
+#: 2 MB L2 cache.  Measured on the ``hypersparse`` CSL group
+#: (CHANGES.md).
+ROW_PASS_NNZ = 1 << 10
+
 
 def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
     """Nonzeros per pass: explicit override or the element budget."""
@@ -73,6 +91,14 @@ def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
                 f"slab_nnz must be >= 1, got {slab_nnz}")
         return slab_nnz
     return max(1, DEFAULT_SLAB_ELEMS // min(max(rank, 1), PASS_ROWS))
+
+
+def row_pass_nnz(rank: int, slab_nnz: int | None = None) -> int:
+    """Nonzeros per row-major pass: explicit override, else
+    :data:`ROW_PASS_NNZ` capped so the full rank fits the element budget."""
+    if slab_nnz is not None:
+        return slab_nnz_for(rank, slab_nnz)
+    return max(1, min(ROW_PASS_NNZ, DEFAULT_SLAB_ELEMS // max(rank, 1)))
 
 
 def pass_rows(rank: int, nnz: int) -> int:
@@ -118,57 +144,87 @@ def kernel_passes(bounds, rank: int, slab_nnz: int | None = None):
 
 
 class Scratch:
-    """Flat buffers the passes of one kernel call carve their
-    ``(rows, n)`` arrays from, so a pass reuses the previous pass's pages
-    instead of faulting in fresh ones."""
+    """Flat buffers the passes of one kernel call carve their scratch
+    arrays from, so a pass reuses the previous pass's pages instead of
+    faulting in fresh ones."""
 
     def __init__(self, dtype) -> None:
         self.dtype = dtype
         self._bufs: dict[int, np.ndarray] = {}
 
+    def _buf(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._bufs.get(slot)
+        if buf is None or buf.shape[0] < size:
+            buf = self._bufs[slot] = np.empty(size, dtype=self.dtype)
+        return buf[:size].reshape(shape)
+
+    # ``idx`` must lie in ``[0, I)`` for both gathers (validated structures
+    # guarantee it; :func:`check_rows` checks raw ones), so the ``clip``
+    # mode, which writes straight into the buffer without a bounds check,
+    # never clips.
     def gather(self, slot: int, table: np.ndarray,
                idx: np.ndarray) -> np.ndarray:
-        """``table[:, idx]`` of a ``(rows, I)`` table, into buffer ``slot``.
+        """``table[:, idx]`` of a ``(rows, I)`` table, into buffer ``slot``."""
+        out = self._buf(slot, (table.shape[0], idx.shape[0]))
+        return table.take(idx, axis=1, mode="clip", out=out)
 
-        ``idx`` must lie in ``[0, I)`` (validated structures guarantee it;
-        :func:`check_rows` checks raw ones), so the ``clip`` mode, which
-        writes straight into the buffer without a bounds check, never
-        clips.
-        """
-        shape = (table.shape[0], idx.shape[0])
-        buf = self._bufs.get(slot)
-        if buf is None or buf.shape[0] < shape[0] * shape[1]:
-            buf = self._bufs[slot] = np.empty(shape[0] * shape[1],
-                                              dtype=self.dtype)
-        return table.take(idx, axis=1, mode="clip",
-                          out=buf[:shape[0] * shape[1]].reshape(shape))
+    def gather_rows(self, slot: int, table: np.ndarray,
+                    idx: np.ndarray) -> np.ndarray:
+        """``table[idx]`` of an ``(I, R)`` row table, into buffer ``slot``."""
+        out = self._buf(slot, (idx.shape[0], table.shape[1]))
+        return table.take(idx, axis=0, mode="clip", out=out)
 
-    def hadamard(self, tables: list[np.ndarray], cols: list[np.ndarray],
-                 vals: np.ndarray, rows: int) -> np.ndarray:
-        """``vals * prod_k tables[k][:, cols[k]]`` as a ``(rows, n)`` array.
+    def _row_product(self, tables: list[np.ndarray], cols: list[np.ndarray],
+                     vals: np.ndarray) -> np.ndarray:
+        """``vals * prod_k tables[k][cols[k]]`` as an ``(n, R)`` array.
 
         The first gather is scaled by the values in place and the others
         are multiplied into it, so at most two scratch arrays are live and
         no all-ones matrix is materialised; elementwise multiplication is
-        commutative bit-for-bit.  With no tables (an order-1 tensor) the
-        result is the values repeated over the rank rows.
+        commutative bit-for-bit.
         """
         acc = None
         for k, (table, idx) in enumerate(zip(tables, cols)):
-            gathered = self.gather(min(k, 1), table, idx)
+            gathered = self.gather_rows(min(k, 1), table, idx)
             if acc is None:
-                gathered *= vals
+                gathered *= vals[:, None]
                 acc = gathered
             else:
                 acc *= gathered
-        if acc is None:
-            acc = np.repeat(vals[None, :], rows, axis=0)
         return acc
+
+    def hadamard(self, tables: list[np.ndarray], cols: list[np.ndarray],
+                 vals: np.ndarray, r0: int, r1: int) -> np.ndarray:
+        """Rank columns ``[r0, r1)`` of ``vals * prod_k tables[k][cols[k]]``
+        as an ``(n, r1 - r0)`` array, from ``(I, R)`` row tables.
+
+        Over the full rank this is one ``(n, R)`` row-major product.  A
+        rank block (a unit too long for its full rank to fit the element
+        budget) is assembled from full-row products of
+        :func:`row_pass_nnz` nonzeros at a time into a ``(r1 - r0, n)``
+        buffer, and returned as its transpose, so a ``reduceat`` along
+        axis 0 runs over contiguous segments.  With no tables (an order-1
+        tensor) the result is the values repeated over the rank columns.
+        """
+        if not tables:
+            return np.repeat(vals[:, None], r1 - r0, axis=1)
+        rank = tables[0].shape[1]
+        if r1 - r0 == rank:
+            return self._row_product(tables, cols, vals)
+        n = vals.shape[0]
+        block = self._buf(2, (r1 - r0, n))
+        step = row_pass_nnz(rank)
+        for j in range(0, n, step):
+            part = self._row_product(tables, [c[j:j + step] for c in cols],
+                                     vals[j:j + step])
+            block[:, j:j + step] = part[:, r0:r1].T
+        return block.T
 
 
 def check_rows(idx: np.ndarray, rows: int, what: str) -> None:
     """Raise unless every entry of ``idx`` addresses one of ``rows`` factor
-    rows: :meth:`Scratch.gather` does not bounds-check."""
+    rows: the :class:`Scratch` gathers do not bounds-check."""
     if idx.shape[0] and (int(idx.min()) < 0 or int(idx.max()) >= rows):
         raise DimensionError(f"{what} indexes outside [0, {rows})")
 
@@ -177,13 +233,26 @@ def rank_major(factors: list[np.ndarray], dtype=None,
                skip: int | None = None) -> list[np.ndarray]:
     """``factors`` as F-contiguous ``(I, R)`` arrays (in ``dtype`` if given).
 
-    ``f.T`` of each result is the C-contiguous ``(R, I)`` view the kernels
-    gather from.  Factors already in that layout and dtype pass through
-    without a copy, so converting once per dispatch makes every kernel,
-    HB-CSF group, shard and pass below it copy-free.  ``factors[skip]``
+    ``f.T`` of each result is the C-contiguous ``(R, I)`` view the CSF
+    tree kernel gathers from.  Factors already in that layout and dtype
+    pass through without a copy, so converting once per dispatch makes
+    every tree kernel, B-CSF group, shard and pass below it copy-free.  ``factors[skip]``
     (the target mode, which no kernel reads) is passed through untouched.
     """
     return [f if m == skip else np.asfortranarray(f, dtype=dtype)
+            for m, f in enumerate(factors)]
+
+
+def row_major(factors: list[np.ndarray], dtype=None,
+              skip: int | None = None) -> list[np.ndarray]:
+    """``factors`` as C-contiguous ``(I, R)`` row tables (in ``dtype`` if
+    given), the layout the CSL and COO kernels gather whole rows from.
+
+    Like :func:`rank_major`, tables already in that layout and dtype pass
+    through without a copy and ``factors[skip]`` is passed through
+    untouched.
+    """
+    return [f if m == skip else np.ascontiguousarray(f, dtype=dtype)
             for m, f in enumerate(factors)]
 
 

@@ -4,9 +4,13 @@ CSL (compressed slice) stores, for slices whose fibers all hold exactly one
 nonzero, a slice pointer that addresses the nonzeros directly — the fiber
 level is skipped.  Per nonzero the kernel forms the Hadamard product of the
 non-root factor rows (like COO) but the root index is read once per slice
-and the per-slice partial sums need no atomics.  The kernel runs in passes
-of rank rows times whole slices over a rank-major ``(rows, nnz)`` scratch,
-as every kernel does (see :mod:`repro.kernels.csf_mttkrp`).
+and the per-slice partial sums need no atomics.  Like the paper's kernel,
+whose warps span the rank and read each nonzero's factor rows whole, it
+works row-major: each pass gathers whole rows of C-contiguous ``(I, R)``
+row tables into an ``(n, R)`` scratch over whole slices of about
+``ROW_PASS_NNZ`` nonzeros, reduces every slice with ``np.add.reduceat``
+along axis 0 and adds each slice's row into ``out`` once (see
+:mod:`repro.kernels.csf_mttkrp`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.csf_mttkrp import (Scratch, check_rows, kernel_passes,
-                                      rank_major, segment_sum)
+                                      row_major, row_pass_nnz)
 from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csl_mttkrp"]
@@ -45,21 +49,24 @@ def csl_mttkrp(
     values:
         ``(nnz,)`` nonzero values.
     factors:
-        One factor matrix per mode, in *original* mode order.
+        One factor matrix per mode, in *original* mode order.  Converted
+        to C-contiguous row tables (:func:`~repro.kernels.csf_mttkrp.
+        row_major`) unless they already are.
     mode_order:
         CSF mode ordering (root first) that ``rest_indices`` columns follow.
     out:
         ``(shape[root], R)`` output, accumulated into.  Its dtype is the
         compute dtype.
     validate:
-        Skip the structural checks (and the segment-monotonicity scan)
-        when ``False`` — for trusted call sites executing a validated
+        Skip the structural checks (and the slice-pointer monotonicity
+        scan) when ``False`` — for trusted call sites executing a validated
         :class:`~repro.core.csl.CslGroup`.
     slab_nnz:
-        Nonzeros per pass (``None`` derives it from
-        :data:`repro.kernels.csf_mttkrp.DEFAULT_SLAB_ELEMS` and the rank).
-        Passes split only at slice boundaries, so the result is
-        bit-identical to the single-pass evaluation.
+        Nonzeros per pass (``None``:
+        :func:`~repro.kernels.csf_mttkrp.row_pass_nnz`).  Passes split
+        only at slice boundaries and a slice is always reduced by one
+        ``reduceat`` call, so the result is bit-identical to the
+        single-pass evaluation.
     """
     num_slices = slice_inds.shape[0]
     nnz = values.shape[0]
@@ -73,32 +80,34 @@ def csl_mttkrp(
             )
     if num_slices == 0 or nnz == 0:
         return out
-    if validate and int(slice_ptr[-1]) != nnz:
+    if validate and (int(slice_ptr[0]) != 0 or int(slice_ptr[-1]) != nnz):
         raise TensorFormatError("slice_ptr does not cover all nonzeros")
+    if validate and np.any(np.diff(slice_ptr) <= 0):
+        raise TensorFormatError("slice_ptr must be strictly increasing")
 
     rank = out.shape[1]
     compute_dtype = out.dtype
     vals = values.astype(compute_dtype, copy=False)
-    factors = rank_major(factors, compute_dtype, skip=mode_order[0])
+    tables = row_major(factors, compute_dtype, skip=mode_order[0])
     if validate:
         for col, m in enumerate(mode_order[1:]):
-            check_rows(rest_indices[:, col], factors[m].shape[0],
+            check_rows(rest_indices[:, col], tables[m].shape[0],
                        f"rest_indices column {col}")
+    tables = [tables[m] for m in mode_order[1:]]
 
     scratch = Scratch(compute_dtype)
-    for start, stop, r0, r1 in kernel_passes(slice_ptr, rank, slab_nnz):
+    for start, stop, r0, r1 in kernel_passes(slice_ptr, rank,
+                                             row_pass_nnz(rank, slab_nnz)):
         if r0 == 0:
             lo, hi = int(slice_ptr[start]), int(slice_ptr[stop])
-            seg = slice_ptr[start:stop + 1]
-            ptr = seg - seg[0]
+            offsets = slice_ptr[start:stop] - lo
             inds = slice_inds[start:stop]
             # contiguous intp columns: np.take's index form, made once for
-            # every row block's gathers
+            # every rank block's gathers
             cols = [np.ascontiguousarray(rest_indices[lo:hi, c], dtype=np.intp)
                     for c in range(len(mode_order) - 1)]
             range_vals = vals[lo:hi]
-        tables = [factors[m].T[r0:r1] for m in mode_order[1:]]
-        acc = scratch.hadamard(tables, cols, range_vals, r1 - r0)
+        acc = scratch.hadamard(tables, cols, range_vals, r0, r1)
         # slices are unique, so each slice's row is written once
-        out.T[r0:r1, inds] += segment_sum(acc, ptr, validate=validate)
+        out[inds, r0:r1] += np.add.reduceat(acc, offsets, axis=0)
     return out

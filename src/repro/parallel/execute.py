@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.csf_mttkrp import rank_major
+from repro.kernels.csf_mttkrp import rank_major, row_major
 from repro.parallel.partition import Shard, shard_plan_for
 from repro.parallel.pool import resolve_workers, run_tasks
 from repro.telemetry import counter_add, span, tracing_enabled
@@ -87,16 +87,23 @@ def threaded_mttkrp(
     if not plan.shards:
         return out
 
-    # convert once here so pool threads share the rank-major arrays instead
-    # of each shard's kernel copying its own
-    factors = rank_major(factors, out.dtype, skip=mode)
+    # convert once here so pool threads share the converted arrays instead
+    # of each shard's kernel copying its own: rank-major for CSF shards,
+    # C-contiguous row tables for the row-major COO and CSL kernels, each
+    # only if some shard needs it
+    kinds = {shard.kind for shard in plan.shards}
+    row_tables = (row_major(factors, out.dtype, skip=mode)
+                  if kinds & {"coo", "csl"} else None)
+    layouts = {"coo": row_tables, "csl": row_tables,
+               "csf": (rank_major(factors, out.dtype, skip=mode)
+                       if "csf" in kinds else None)}
     buckets = [(w, b) for w, b in enumerate(plan.worker_shards()) if b]
     counter_add("parallel.dispatches")
     counter_add("parallel.shards", len(plan.shards))
     if not tracing_enabled():
         run_tasks([
             (lambda bucket=bucket: [
-                _run_shard(shard, factors, mode, out)
+                _run_shard(shard, layouts[shard.kind], mode, out)
                 for shard in bucket
             ])
             for _, bucket in buckets
@@ -118,7 +125,7 @@ def threaded_mttkrp(
         def _run_traced(worker: int, shard: Shard) -> None:
             with span("parallel.shard", parent=parent_id, worker=worker,
                       cost=shard.cost, kind=shard.kind):
-                _run_shard(shard, factors, mode, out)
+                _run_shard(shard, layouts[shard.kind], mode, out)
 
         run_tasks([
             (lambda worker=worker, bucket=bucket: [

@@ -42,6 +42,31 @@ def _as_index_array(indices: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray
     return np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
 
 
+def _writeable_elsewhere(arr: np.ndarray) -> bool:
+    """True if ``arr`` views memory some other object can still write:
+    freezing a view does not freeze the array or buffer it views."""
+    base = arr.base
+    while isinstance(base, np.ndarray) and base.base is not None:
+        base = base.base
+    if base is None:
+        return False
+    if isinstance(base, np.ndarray):
+        return bool(base.flags.writeable)
+    try:
+        return not memoryview(base).readonly
+    except TypeError:  # not a buffer: cannot tell, so assume writeable
+        return True
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: in place when nothing else can write its
+    memory, else as a copy."""
+    if _writeable_elsewhere(arr):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class CooTensor:
     """Immutable N-order coordinate sparse tensor.
@@ -51,7 +76,10 @@ class CooTensor:
     build-plan cache) have seen cannot change under them.  An input array
     stored without a copy (already ``int64`` / ``float64`` and contiguous)
     is made read-only in place; pass a copy to keep writing into it, or
-    derive a new tensor with :meth:`with_values`.
+    derive a new tensor with :meth:`with_values`.  An input that views
+    memory still writeable elsewhere (``buf[:n]`` of a writeable ``buf``,
+    a buffer such as a ``bytearray``) is copied, since freezing the view
+    would not stop writes through ``buf``.
 
     Attributes
     ----------
@@ -105,11 +133,9 @@ class CooTensor:
         if sum_duplicates and idx.shape[0]:
             idx, vals = _sorted_unique(idx, vals, shape, tuple(range(len(shape))))
 
-        # frozen, not copied: see the class docstring
-        idx.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
+        # frozen in place where that suffices: see the class docstring
+        object.__setattr__(self, "indices", _frozen(idx))
+        object.__setattr__(self, "values", _frozen(vals))
         object.__setattr__(self, "shape", shape)
 
     @classmethod

@@ -1,7 +1,7 @@
 """The compute-dtype policy shared by kernels, builders, ALS and bench.
 
 All four CPU MTTKRP kernels are bandwidth-bound: their cost is dominated by
-streaming the rank-major accumulator and the gathered factor rows through
+streaming the per-nonzero accumulator and the gathered factor rows through
 memory, not by the multiplies.  Computing in ``float32`` therefore roughly
 halves the wall-clock time at the price of ~1e-6 relative accuracy — a
 trade-off the caller should make, not the kernel.  This module defines the

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cpd.fit import cp_fit, cp_innerprod, cp_norm, tensor_norm
+from repro.cpd.fit import (column_dots, cp_fit, cp_innerprod, cp_norm,
+                           tensor_norm)
 from repro.cpd.init import init_factors
 from repro.tensor.coo import CooTensor
 from repro.util.errors import DimensionError, ValidationError
@@ -53,6 +54,24 @@ class TestNorms:
     def test_cp_norm_weight_shape_checked(self):
         with pytest.raises(DimensionError):
             cp_norm(np.ones(2), [np.ones((3, 4))])
+
+
+class TestColumnDots:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 7, 100, 4097, 8193, 70001])
+    def test_bit_identical_to_the_full_product_on_f_arrays(self, dtype, rows):
+        """CP-ALS norms and inner products keep their bits: each column is
+        reduced pairwise, as ``np.sum(a * b, axis=0)`` does on F arrays."""
+        rng = default_rng(rows)
+        a, b = (np.asfortranarray(
+            (rng.standard_normal((rows, 6))
+             * 10.0 ** rng.uniform(-3, 3, (rows, 6))).astype(dtype))
+            for _ in range(2))
+        for x, y in ((a, a), (a, b)):
+            want = np.sum(x * y, axis=0)
+            got = column_dots(x, y)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestInnerprodAndFit:

@@ -57,13 +57,14 @@ def assert_same_bits(got, want):
 
 
 def single_pass(fn):
-    """``fn()`` evaluated with a budget that makes one pass of everything."""
-    orig = kern.DEFAULT_SLAB_ELEMS
-    kern.DEFAULT_SLAB_ELEMS = 10**12
+    """``fn()`` evaluated with a budget (and a row-major pass length) that
+    makes one pass of everything."""
+    orig = kern.DEFAULT_SLAB_ELEMS, kern.ROW_PASS_NNZ
+    kern.DEFAULT_SLAB_ELEMS = kern.ROW_PASS_NNZ = 10**12
     try:
         return fn()
     finally:
-        kern.DEFAULT_SLAB_ELEMS = orig
+        kern.DEFAULT_SLAB_ELEMS, kern.ROW_PASS_NNZ = orig
 
 
 @pytest.fixture
@@ -193,6 +194,16 @@ class TestCsfSlabs:
         assert kern.slab_nnz_for(10**9) >= 1
         with pytest.raises(TensorFormatError):
             kern.slab_nnz_for(4, 0)
+
+    def test_row_pass_sizing(self, monkeypatch):
+        # a row-major pass holds the full rank, so the budget caps it
+        assert kern.row_pass_nnz(32) == kern.ROW_PASS_NNZ
+        assert kern.row_pass_nnz(32, 7) == 7
+        monkeypatch.setattr(kern, "DEFAULT_SLAB_ELEMS", 100)
+        assert kern.row_pass_nnz(32) == 3
+        assert kern.row_pass_nnz(101) == 1
+        with pytest.raises(TensorFormatError):
+            kern.row_pass_nnz(4, 0)
 
 
 def csl_call(t, group, factors, rank, slab=None):

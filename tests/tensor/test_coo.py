@@ -109,6 +109,40 @@ class TestFrozenArrays:
         t = CooTensor(idx32, [1.5, -2.0], (2, 2, 4))
         assert idx32.flags.writeable and not t.indices.flags.writeable
 
+    @pytest.mark.parametrize("fmt", ["hb-csf", "coo"])
+    def test_views_of_a_writeable_base_are_copied(self, fmt):
+        """Freezing ``buf[:-1]`` would not freeze ``buf``: writing through
+        the base must not reach the tensor behind its memoised
+        fingerprint."""
+        x = random_coo((20, 30, 25), 900, default_rng(3))
+        ibuf = np.concatenate([x.indices, x.indices[:1]])
+        vbuf = np.concatenate([x.values, [1.0]])
+        t = CooTensor(ibuf[:-1], vbuf[:-1], x.shape)
+        factors = make_factors(x.shape, 6, seed=4)
+        before = repro.mttkrp(t, factors, 0, format=fmt)
+        vbuf *= 2
+        ibuf[:, 0] = 0
+        assert ibuf.flags.writeable and vbuf.flags.writeable
+        np.testing.assert_array_equal(t.values, x.values)
+        np.testing.assert_array_equal(t.indices, x.indices)
+        np.testing.assert_array_equal(
+            repro.mttkrp(t, factors, 0, format=fmt), before)
+        np.testing.assert_array_equal(
+            before, repro.mttkrp(x, factors, 0, format=fmt))
+
+    def test_views_of_read_only_memory_are_not_copied(self):
+        x = random_coo((20, 30, 25), 900, default_rng(3))
+        t = CooTensor(x.indices[:-1], x.values[:-1], x.shape)
+        assert np.shares_memory(t.indices, x.indices)
+        assert np.shares_memory(t.values, x.values)
+
+    def test_arrays_over_a_writeable_buffer_are_copied(self):
+        x = random_coo((20, 30, 25), 900, default_rng(3))
+        raw = bytearray(x.values.tobytes())
+        t = CooTensor(x.indices, np.frombuffer(raw), x.shape)
+        raw[:8] = bytes(8)
+        np.testing.assert_array_equal(t.values, x.values)
+
 
 class TestUnpackableShape:
     """prod(shape) >= 2**63: no int64 key, so the sorts take np.lexsort.
