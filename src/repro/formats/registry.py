@@ -42,10 +42,9 @@ from repro.formats.plan_cache import (
     plan_cache,
     tensor_fingerprint,
 )
-from repro.kernels.csf_mttkrp import rank_major
 from repro.parallel.pool import resolve_backend, resolve_workers
 from repro.telemetry import stage
-from repro.util.dtypes import dtype_token, resolve_dtype
+from repro.util.dtypes import dtype_token
 from repro.util.errors import ValidationError
 
 __all__ = [
@@ -226,14 +225,6 @@ class FormatSpec:
                 extras["validate"] = False
             if dtype is not None and "dtype" in supported:
                 extras["dtype"] = dtype
-            # One rank-major conversion per dispatch, in the kernel's
-            # compute dtype when that is known: every CSF tree kernel,
-            # group and pass below then reads the factors without copying
-            # them.  The row-major CSL and COO kernels take their row
-            # tables from these once per call (HB-CSF once for both).
-            compute = (out.dtype if out is not None else resolve_dtype(dtype)
-                       if "dtype" in supported else None)
-            factors = rank_major(factors, compute, skip=mode)
             return self.cpu_kernel(rep, factors, mode, out, **extras)
 
     def storage_words(self, rep) -> int:

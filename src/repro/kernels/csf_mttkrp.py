@@ -25,7 +25,8 @@ from C-contiguous ``(I, R)`` row tables (see :func:`row_major`) into an
 reduced row into ``out`` once.  ``np.add.reduceat`` associates a
 segment's sum the same way along either axis, so the output bits do not
 depend on the layout (``tests/kernels/golden_mttkrp.json`` pins them and
-``tests/kernels/test_reduceat_layout.py`` the invariant).
+``TestReduceatSummationOrder`` in ``tests/kernels/test_csf_mttkrp.py``
+the invariant).
 
 Every kernel runs as a sequence of *passes* (:func:`kernel_passes`): a
 block of rank rows ``[r0, r1)`` times a nonzero range that splits only
@@ -61,25 +62,27 @@ __all__ = ["csf_mttkrp", "segment_sum", "rank_major", "row_major",
            "row_pass_nnz", "pass_rows", "kernel_passes", "Scratch",
            "check_rows"]
 
-#: element budget of one kernel pass: the ``(rows, nonzeros)`` scratch
-#: arrays the CSF, CSL and COO kernels materialise hold at most this many
-#: elements each (2^22 float64 elements = 32 MB) unless a single rank row
-#: over one indivisible nonzero range is larger.  It bounds peak scratch no
-#: matter how far the out-of-core ladder scales nnz.
+#: element budget of one kernel pass: the ``(rows, n)`` or ``(n, R)``
+#: scratch arrays the CSF, CSL and COO kernels materialise hold at most
+#: this many elements each (2^22 float64 elements = 32 MB) unless a single
+#: rank row over one indivisible nonzero range is larger.  It bounds peak
+#: scratch no matter how far the out-of-core ladder scales nnz.
 DEFAULT_SLAB_ELEMS = 1 << 22
 
-#: rank rows of a pass whose nonzero range fills the budget: the range is
-#: capped at ``DEFAULT_SLAB_ELEMS // min(R, PASS_ROWS)`` nonzeros (2^20 at
-#: R = 32).  That is long enough to stream a gathered factor row once per
-#: ~10^6 nonzeros, and keeps the per-range index copies (8 B per nonzero
-#: and gathered mode) at a fraction of the scratch budget.
+#: rank rows of a tree-kernel pass whose nonzero range fills the budget:
+#: the range is capped at ``DEFAULT_SLAB_ELEMS // min(R, PASS_ROWS)``
+#: nonzeros (2^20 at R = 32).  That is long enough to stream a gathered
+#: factor row once per ~10^6 nonzeros, and keeps the per-range index
+#: copies (8 B per nonzero and gathered mode) at a fraction of the scratch
+#: budget.
 PASS_ROWS = 4
 
 #: nonzeros of one row-major pass of the CSL and COO kernels: each of its
 #: two ``(n, R)`` scratch arrays is 256 KB at R = 32 in float64, so a
 #: pass's gathers, products and column-wise ``reduceat`` stay within a
-#: 2 MB L2 cache.  Measured on the ``hypersparse`` CSL group
-#: (CHANGES.md).
+#: 2 MB L2 cache.  On the perfbench ``hypersparse`` and ``community`` CSL
+#: groups, 2^9 to 2^12 measured within noise of each other (CHANGES.md),
+#: and 2^10 sits inside that range with an eighth of L2 per array.
 ROW_PASS_NNZ = 1 << 10
 
 

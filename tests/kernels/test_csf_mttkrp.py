@@ -77,14 +77,16 @@ def _pairwise(x: list[float]) -> float:
 
 
 class TestReduceatSummationOrder:
-    """Pins the numpy behaviour the rank-major kernels rely on.
+    """Pins the numpy behaviour the kernel layouts rely on.
 
     ``np.add.reduceat`` seeds each segment with its first element and adds
     the pairwise sum of the rest, whichever axis it reduces: along a
     contiguous last axis and along a strided first axis the association is
-    the same, which is why moving the kernel scratch from ``(n, R)`` to
-    ``(R, n)`` changed no output bit.  If a numpy upgrade changes either
-    path, this test names the cause before the golden-digest test fails.
+    the same.  The CSF tree kernel reduces its rank-major ``(R, n)``
+    scratch along axis 1, the CSL and COO kernels their row-major ``(n,
+    R)`` scratch along axis 0, and the golden digests were recorded with
+    every kernel rank-major.  If a numpy upgrade changes either path, this
+    test names the cause before the golden-digest test fails.
     """
 
     LENGTHS = (1, 5, 9, 130, 1000)
@@ -105,6 +107,38 @@ class TestReduceatSummationOrder:
                 want = seg[0] + _pairwise(seg[1:]) if len(seg) > 1 else seg[0]
                 assert rank_major[r, s].tobytes() == dtype(want).tobytes(), \
                     (r, b - a)
+
+    @staticmethod
+    def assert_axes_agree(rows: np.ndarray, starts: np.ndarray) -> None:
+        along_rows = np.add.reduceat(rows, starts, axis=0)
+        along_rank = np.add.reduceat(np.ascontiguousarray(rows.T), starts,
+                                     axis=1)
+        np.testing.assert_array_equal(along_rows.T.copy().view(np.uint8),
+                                      along_rank.view(np.uint8))
+
+    @staticmethod
+    def spread_rows(n: int, dtype, rng) -> np.ndarray:
+        """``(n, 7)`` values over six decades, so any other association of
+        a sum changes its rounding."""
+        scale = 10.0 ** rng.uniform(-3, 3, (n, 7))
+        return (rng.standard_normal((n, 7)) * scale).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_axes_agree_for_every_length_to_300(self, dtype):
+        rng = np.random.default_rng(3)
+        for n in range(1, 301):
+            self.assert_axes_agree(self.spread_rows(n, dtype, rng),
+                                   np.array([0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_axes_agree_on_ragged_segments(self, dtype):
+        rng = np.random.default_rng(5)
+        lengths = np.concatenate([np.arange(1, 301),
+                                  rng.integers(1, 301, 200)])
+        rng.shuffle(lengths)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        self.assert_axes_agree(
+            self.spread_rows(int(lengths.sum()), dtype, rng), starts)
 
 
 class TestValidateFastPath:
