@@ -26,10 +26,11 @@ the factor shapes are fixed by the solver itself, so re-checking them (and
 re-scanning CSF pointers) every inner step would be pure overhead.  Factors
 and workspaces stay F-contiguous, the rank-major layout the CSF tree
 kernel reads and every kernel writes
-(:func:`repro.kernels.csf_mttkrp.rank_major`), so the solver copies no
-factor (the row-major CSL and COO kernels take one row-table copy of the
-modes they gather per dispatch), and the committed-iteration snapshot kept for deadlines is a
-shallow list (factor arrays are replaced, never written in place).
+(:func:`repro.kernels.csf_mttkrp.rank_major`), so the solver itself copies
+no factor; the row-major CSL and COO kernels copy the modes they gather
+into row tables once per dispatch.  The committed-iteration snapshot kept
+for deadlines is a shallow list (factor arrays are replaced, never written
+in place).
 """
 
 from __future__ import annotations

@@ -239,8 +239,9 @@ def rank_major(factors: list[np.ndarray], dtype=None,
     ``f.T`` of each result is the C-contiguous ``(R, I)`` view the CSF
     tree kernel gathers from.  Factors already in that layout and dtype
     pass through without a copy, so converting once per dispatch makes
-    every tree kernel, B-CSF group, shard and pass below it copy-free.  ``factors[skip]``
-    (the target mode, which no kernel reads) is passed through untouched.
+    every tree kernel, B-CSF group, shard and pass below it copy-free.
+    ``factors[skip]`` (the target mode, which no kernel reads) is passed
+    through untouched.
     """
     return [f if m == skip else np.asfortranarray(f, dtype=dtype)
             for m, f in enumerate(factors)]
@@ -267,9 +268,9 @@ def segment_sum(data: np.ndarray, ptr: np.ndarray,
     which lets us use ``np.add.reduceat`` directly.
 
     ``validate=False`` skips the ``np.diff`` monotonicity scan (an extra
-    O(len(ptr)) pass) for internal call sites — the CSF/B-CSF kernels and
-    validated :class:`~repro.core.csl.CslGroup` structures — whose builders
-    already guarantee non-empty monotone segments.
+    O(len(ptr)) pass) for internal call sites — the CSF/B-CSF kernels on
+    builder-produced trees — whose builders already guarantee non-empty
+    monotone segments.
     """
     if validate:
         if ptr.shape[0] == 0:

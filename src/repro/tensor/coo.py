@@ -42,26 +42,23 @@ def _as_index_array(indices: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray
     return np.ascontiguousarray(arr, dtype=INDEX_DTYPE)
 
 
-def _writeable_elsewhere(arr: np.ndarray) -> bool:
-    """True if ``arr`` views memory some other object can still write:
-    freezing a view does not freeze the array or buffer it views."""
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: in place, unless it views memory that some
+    other object can still write (freezing a view does not freeze what it
+    views), then as a copy."""
     base = arr.base
     while isinstance(base, np.ndarray) and base.base is not None:
         base = base.base
-    if base is None:
-        return False
     if isinstance(base, np.ndarray):
-        return bool(base.flags.writeable)
-    try:
-        return not memoryview(base).readonly
-    except TypeError:  # not a buffer: cannot tell, so assume writeable
-        return True
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only: in place when nothing else can write its
-    memory, else as a copy."""
-    if _writeable_elsewhere(arr):
+        shared = bool(base.flags.writeable)
+    elif base is not None:
+        try:
+            shared = not memoryview(base).readonly
+        except TypeError:  # not a buffer: cannot tell, so assume writeable
+            shared = True
+    else:
+        shared = False
+    if shared:
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
