@@ -4,6 +4,12 @@ CSL targets slices in which *every* fiber holds exactly one nonzero.  For
 such slices the fiber-pointer level of CSF is pure overhead: the slice
 pointer can address the nonzeros directly, which saves both the two fiber
 arrays (storage) and the per-fiber reduction (operations).
+
+The builders store a group's slices in (nonzero count, root index) order:
+the binning of slices by length that the paper adopts for slc-split
+(Section IV-A).  Equal-length slices then sit next to each other, and the
+kernel sums a whole bin with vectorised adds (see
+:func:`~repro.kernels.csf_mttkrp.segment_sums`).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_order
 from repro.tensor.csf import CsfTensor
 from repro.util.errors import TensorFormatError, ValidationError
 
-__all__ = ["CslGroup", "build_csl_group"]
+__all__ = ["CslGroup", "build_csl_group", "length_order"]
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,9 @@ class CslGroup:
     slice_ptr:
         ``(num_slices + 1,)`` pointers into the nonzero arrays.
     slice_inds:
-        ``(num_slices,)`` root-mode index of each slice.
+        ``(num_slices,)`` root-mode index of each slice.  The builders
+        emit slices in (nonzero count, root index) order, not ascending
+        root order; the kernel accepts any order of unique roots.
     rest_indices:
         ``(nnz, order - 1)`` non-root indices per nonzero.
     values:
@@ -119,6 +127,26 @@ def empty_csl_group(shape: tuple[int, ...], mode_order: tuple[int, ...]) -> CslG
     )
 
 
+def length_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """(count, root) order of slices listed in root order with nonzero
+    ``counts``.
+
+    Returns ``(order, slice_ptr, shift)``: ``order`` indexes the slices
+    by nonzero count, ties kept in root order (one stable sort);
+    ``slice_ptr`` is the slice pointer in that order; and ``shift[s]``
+    moves slice ``s``'s nonzeros there, so the nonzero at position ``p``
+    of the root-ordered stream lands at ``p + shift[s]``.
+    """
+    order = np.argsort(counts, kind="stable")
+    slice_ptr = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts[order], out=slice_ptr[1:])
+    root_start = np.cumsum(counts) - counts
+    shift = np.empty(counts.shape[0], dtype=np.int64)
+    shift[order] = slice_ptr[:-1] - root_start[order]
+    return order, slice_ptr, shift
+
+
 def build_csl_group(csf: CsfTensor, slice_mask: np.ndarray | None = None) -> CslGroup:
     """Build a CSL group from (a subset of) the slices of a CSF tree.
 
@@ -168,21 +196,26 @@ def build_csl_group(csf: CsfTensor, slice_mask: np.ndarray | None = None) -> Csl
     rest_indices = (np.stack(rest_cols, axis=1).astype(INDEX_DTYPE)
                     if rest_cols else np.zeros((int(keep.sum()), 0), dtype=INDEX_DTYPE))
 
-    # Group by slice (leaves are already stored slice-contiguously).
+    # Leaves are stored slice-contiguously in root order; move each kept
+    # slice's run of leaves to its place in (count, root) order.
     kept_slices = np.flatnonzero(slice_mask)
-    counts = np.zeros(num_slices, dtype=np.int64)
-    np.add.at(counts, kept_slice_of_leaf, 1)
-    counts = counts[kept_slices]
-    slice_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
-    slice_inds = csf.fids[0][kept_slices].astype(INDEX_DTYPE)
+    counts = np.bincount(kept_slice_of_leaf, minlength=num_slices)[kept_slices]
+    order, slice_ptr, shift = length_order(counts)
+    ordinal = np.cumsum(slice_mask) - 1    # kept slice -> position in kept
+    dest = shift[ordinal[kept_slice_of_leaf]]
+    dest += np.arange(dest.shape[0])
+    binned_rest = np.empty_like(rest_indices)
+    binned_rest[dest] = rest_indices
+    values = np.empty(dest.shape[0], dtype=csf.values.dtype)
+    values[dest] = csf.values[keep]
 
     group = CslGroup(
         shape=csf.shape,
         mode_order=mode_order,
         slice_ptr=slice_ptr,
-        slice_inds=slice_inds,
-        rest_indices=rest_indices,
-        values=csf.values[keep].copy(),
+        slice_inds=csf.fids[0][kept_slices[order]].astype(INDEX_DTYPE),
+        rest_indices=binned_rest,
+        values=values,
     )
     group.validate()
     return group

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bcsf import BcsfTensor, build_bcsf
-from repro.core.csl import CslGroup, empty_csl_group
+from repro.core.csl import CslGroup, empty_csl_group, length_order
 from repro.core.splitting import SplitConfig
 from repro.kernels.coo_mttkrp import coo_mttkrp
 from repro.kernels.csf_mttkrp import rank_major, row_major
@@ -29,6 +29,11 @@ from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError
 
 __all__ = ["SlicePartition", "HbcsfTensor", "partition_slices", "build_hbcsf"]
+
+#: rows of a sorted chunk :func:`build_hbcsf` routes at a time, so the
+#: router's masks, gathered columns and CSL destinations stay a few MB
+#: however large an in-memory chunk is.
+ROUTE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -290,9 +295,11 @@ def build_hbcsf(
     coo_idx = np.empty((coo_nnz, order), dtype=INDEX_DTYPE)
     coo_vals = np.empty(coo_nnz, dtype=VALUE_DTYPE)
 
-    # CSL group: non-root columns in mode_order[1:]; the slice pointer
-    # comes straight from the scanner's per-slice nonzero counts.
-    csl_nnz = int(nnz_present[partition.csl_mask].sum())
+    # CSL group: non-root columns in mode_order[1:], slices in (count,
+    # root) order.
+    csl_roots = present[partition.csl_mask]
+    csl_counts = nnz_present[partition.csl_mask]
+    csl_nnz = int(csl_counts.sum())
     rest_indices = np.empty((csl_nnz, order - 1), dtype=INDEX_DTYPE)
     csl_vals = np.empty(csl_nnz, dtype=VALUE_DTYPE)
 
@@ -308,42 +315,55 @@ def build_hbcsf(
     # 0 = COO, 1 = CSL, 2 = B-CSF; roots absent from the stream never
     # appear in a chunk, so their (arbitrary) label is never read.
     group_of_root = np.zeros(shape[root], dtype=np.int8)
-    group_of_root[present[partition.csl_mask]] = 1
+    group_of_root[csl_roots] = 1
     group_of_root[csf_roots] = 2
+
+    # The CSL slice pointer comes straight from the scanner's per-slice
+    # counts, and csl_shift[root] moves each slice's nonzeros from their
+    # root-ordered stream position to (count, root) order.  (Made after
+    # the groups' arrays, so these temporaries leave no hole among them.)
+    csl_order, slice_ptr, shift = length_order(csl_counts)
+    csl_shift = np.zeros(shape[root], dtype=np.int64)
+    csl_shift[csl_roots] = shift
+    del shift
 
     coo_pos = csl_pos = 0
     for chunk in chunks():
-        idx, vals = chunk.indices, chunk.values
-        grp = group_of_root[idx[:, root]]
-        sel = grp == 0
-        k = int(np.count_nonzero(sel))
-        if k:
-            coo_idx[coo_pos:coo_pos + k] = idx[sel]
-            coo_vals[coo_pos:coo_pos + k] = vals[sel]
-            coo_pos += k
-        sel = grp == 1
-        k = int(np.count_nonzero(sel))
-        if k:
-            for col, m in enumerate(mode_order[1:]):
-                rest_indices[csl_pos:csl_pos + k, col] = idx[sel, m]
-            csl_vals[csl_pos:csl_pos + k] = vals[sel]
-            csl_pos += k
-        sel = grp == 2
-        if sel.any():
-            asm.fill(idx[sel], vals[sel])
+        for lo in range(0, chunk.indices.shape[0], ROUTE_ROWS):
+            idx = chunk.indices[lo:lo + ROUTE_ROWS]
+            vals = chunk.values[lo:lo + ROUTE_ROWS]
+            grp = group_of_root[idx[:, root]]
+            sel = grp == 0
+            k = int(np.count_nonzero(sel))
+            if k:
+                coo_idx[coo_pos:coo_pos + k] = idx[sel]
+                coo_vals[coo_pos:coo_pos + k] = vals[sel]
+                coo_pos += k
+            sel = grp == 1
+            k = int(np.count_nonzero(sel))
+            if k:
+                dest = csl_shift[idx[sel, root]]
+                dest += np.arange(csl_pos, csl_pos + k)
+                for col, m in enumerate(mode_order[1:]):
+                    rest_indices[dest, col] = idx[sel, m]
+                csl_vals[dest] = vals[sel]
+                csl_pos += k
+            sel = grp == 2
+            if sel.any():
+                asm.fill(idx[sel], vals[sel])
 
+    del csl_shift
+    slice_inds = csl_roots[csl_order].astype(INDEX_DTYPE)
+    del csl_order
     coo_group = (CooTensor(coo_idx, coo_vals, shape, validate=False)
                  if coo_nnz else CooTensor.empty(shape))
 
     if csl_nnz:
-        slice_ptr = np.concatenate(
-            [[0], np.cumsum(nnz_present[partition.csl_mask])]
-        ).astype(INDEX_DTYPE)
         csl_group = CslGroup(
             shape=shape,
             mode_order=mode_order,
             slice_ptr=slice_ptr,
-            slice_inds=present[partition.csl_mask].astype(INDEX_DTYPE),
+            slice_inds=slice_inds,
             rest_indices=rest_indices,
             values=csl_vals,
         )

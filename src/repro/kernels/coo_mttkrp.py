@@ -11,9 +11,11 @@ Two accumulation strategies are available:
   equivalent of the atomic adds the GPU COO kernels (ParTI) issue.  Its
   random-access write pattern is cache-hostile on large tensors.
 * ``"sort"`` — sorted segment-sum: stable-argsort the target-mode indices
-  first, gather the factor rows through the permuted index columns, reduce
-  each run of equal indices with one ``np.add.reduceat`` over all ``R``
-  rows at once, and add each run's total into its (unique) output row.
+  first, gather the factor rows through the permuted index columns, sum
+  each run of equal indices over all ``R`` columns at once with
+  :func:`~repro.kernels.csf_mttkrp.segment_sums` (``np.add.reduceat``'s
+  bits; a pass of length-1 runs, such as the HB-CSF COO group, is a
+  copy), and add each run's total into its (unique) output row.
   One radix sort plus sequential reductions; the fastest path once nnz is
   large.
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.csf_mttkrp import (Scratch, kernel_passes, row_major,
-                                      row_pass_nnz)
+                                      row_pass_nnz, segment_sums)
 from repro.tensor.coo import CooTensor
 from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
@@ -176,7 +178,7 @@ def coo_mttkrp(
         acc = scratch.hadamard(tables, cols, vals, r0, r1)
         if method == "sort":
             # each run's head is a unique output row
-            out[heads, r0:r1] += np.add.reduceat(acc, runs, axis=0)
+            out[heads, r0:r1] += segment_sums(acc, runs)
         else:
             np.add.at(out[:, r0:r1], idx, acc)
     return out

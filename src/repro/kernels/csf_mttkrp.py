@@ -15,18 +15,26 @@ Kernel layout.  The CSF tree kernel (CSF, B-CSF, the HB-CSF B-CSF group)
 is *rank-major*: its per-nonzero scratch is a C-contiguous ``(rows, n)``
 array of rank rows by nonzeros, gathered with ``np.take(F.T[r0:r1], idx,
 axis=1)`` from the ``(R, I)`` view of an F-contiguous ``(I, R)`` factor (see
-:func:`rank_major`).  Segments are reduced along the last axis, and each
-reduced row is written into ``out.T[r0:r1]`` once, with a plain indexed add
-wherever the target rows are unique.  The CSL and COO kernels are
-*row-major*, like the paper's CSL kernel, whose warps read each nonzero's
-factor rows whole: they gather whole rows with ``np.take(T, idx, axis=0)``
-from C-contiguous ``(I, R)`` row tables (see :func:`row_major`) into an
-``(n, R)`` scratch, reduce slices or runs along axis 0 and add each
-reduced row into ``out`` once.  ``np.add.reduceat`` associates a
-segment's sum the same way along either axis, so the output bits do not
-depend on the layout (``tests/kernels/golden_mttkrp.json`` pins them and
+:func:`rank_major`).  Segments are reduced along the last axis with
+``np.add.reduceat``, and each reduced row is written into ``out.T[r0:r1]``
+once, with a plain indexed add wherever the target rows are unique.  The
+CSL and COO kernels are *row-major*, like the paper's CSL kernel, whose
+warps read each nonzero's factor rows whole: they gather whole rows with
+``np.take(T, idx, axis=0)`` from C-contiguous ``(I, R)`` row tables (see
+:func:`row_major`) into an ``(n, R)`` scratch, sum slices or runs with
+:func:`segment_sums` and add each summed row into ``out`` once.
+``np.add.reduceat`` associates a segment's sum as ``x0 + P(x1 ...)``
+along either axis, with ``P`` numpy's pairwise sum, and
+:func:`segment_sums` reproduces that association exactly: a run of
+equal-length segments of at most :data:`CHAIN_MAX_LEN` nonzeros (where
+``P`` is a plain left-to-right sum) is summed by chained vectorised adds
+over a ``(k, L, R)`` view, and longer segments keep ``reduceat``.  CSL
+groups store their slices in (nonzero count, root index) order -- the
+paper's slice binning by length (Section IV-A) -- so a pass holds one or
+two such runs.  The output bits therefore depend neither on the layout nor
+on the slice order (``tests/kernels/golden_mttkrp.json`` pins them and
 ``TestReduceatSummationOrder`` in ``tests/kernels/test_csf_mttkrp.py``
-the invariant).
+numpy's association).
 
 Every kernel runs as a sequence of *passes* (:func:`kernel_passes`): a
 block of rank rows ``[r0, r1)`` times a nonzero range that splits only
@@ -57,10 +65,10 @@ from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, TensorFormatError
 
-__all__ = ["csf_mttkrp", "segment_sum", "rank_major", "row_major",
-           "DEFAULT_SLAB_ELEMS", "PASS_ROWS", "ROW_PASS_NNZ", "slab_nnz_for",
-           "row_pass_nnz", "pass_rows", "kernel_passes", "Scratch",
-           "check_rows"]
+__all__ = ["csf_mttkrp", "segment_sum", "segment_sums", "rank_major",
+           "row_major", "DEFAULT_SLAB_ELEMS", "PASS_ROWS", "ROW_PASS_NNZ",
+           "CHAIN_MAX_LEN", "SEGSUM_MAX_RUNS", "slab_nnz_for", "row_pass_nnz",
+           "pass_rows", "kernel_passes", "Scratch", "check_rows"]
 
 #: element budget of one kernel pass: the ``(rows, n)`` or ``(n, R)``
 #: scratch arrays the CSF, CSL and COO kernels materialise hold at most
@@ -84,6 +92,20 @@ PASS_ROWS = 4
 #: groups, 2^9 to 2^12 measured within noise of each other (CHANGES.md),
 #: and 2^10 sits inside that range with an eighth of L2 per array.
 ROW_PASS_NNZ = 1 << 10
+
+#: longest segment :func:`segment_sums` sums with chained adds.  numpy's
+#: pairwise sum adds fewer than 8 elements left to right from ``-0.0``, so
+#: for a segment of at most 8 ``reduceat``'s ``x0 + P(x1 ...)`` is
+#: ``x0 + (((x1 + x2) + x3) ...)`` (``-0.0 + x1 == x1`` bit for bit); from
+#: 9 on ``P`` is pairwise.  ``TestReduceatSummationOrder`` pins the boundary.
+CHAIN_MAX_LEN = 8
+
+#: runs per pass above which :func:`segment_sums` sums the whole pass with
+#: one ``reduceat``.  A run costs a few numpy calls (~10 us), so a pass
+#: whose segment lengths keep changing (a CSL group stored in root order,
+#: a COO ``sort`` pass over a general tensor) is cheaper as one call; a
+#: length-ordered CSL pass holds one to three runs.
+SEGSUM_MAX_RUNS = 4
 
 
 def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
@@ -284,6 +306,61 @@ def segment_sum(data: np.ndarray, ptr: np.ndarray,
     if ptr.shape[0] == 1:
         return np.zeros(data.shape[:-1] + (0,), dtype=data.dtype)
     return np.add.reduceat(data, ptr[:-1], axis=-1)
+
+
+def segment_sums(acc: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of the row segments of an ``(n, R)`` pass that start at
+    ``offsets`` (``offsets[0] == 0``, strictly increasing, each segment
+    running to the next start or to ``n``), bit-identical to
+    ``np.add.reduceat(acc, offsets, axis=0)``.
+
+    The segments are split into runs: maximal stretches of one length ``L
+    <= CHAIN_MAX_LEN``, or of segments all longer than that.  A short run
+    of ``k`` segments is summed on its ``(k, L, R)`` view as ``x0 + (((x1 +
+    x2) + x3) ...)``, ``reduceat``'s own association at these lengths (see
+    :data:`CHAIN_MAX_LEN`); a length-1 run is a copy.  A long run keeps one
+    ``reduceat`` over its offsets, and a pass of more than
+    :data:`SEGSUM_MAX_RUNS` runs is one ``reduceat`` over the whole pass.
+    Each call adds the segments it summed each way to the counters
+    ``kernel.segsum.chained`` and ``kernel.segsum.reduceat``.
+    """
+    k, n = offsets.shape[0], acc.shape[0]
+    # lengths clipped at CHAIN_MAX_LEN + 1, so long segments form one run
+    lengths = np.empty(k, dtype=offsets.dtype)
+    np.subtract(offsets[1:], offsets[:-1], out=lengths[:-1])
+    lengths[-1] = n - offsets[-1]
+    np.minimum(lengths, CHAIN_MAX_LEN + 1, out=lengths)
+    cuts = (lengths[1:] != lengths[:-1]).nonzero()[0] + 1
+    if cuts.shape[0] >= SEGSUM_MAX_RUNS:
+        counter_add("kernel.segsum.reduceat", k)
+        return np.add.reduceat(acc, offsets, axis=0)
+    sums = np.empty((k, acc.shape[1]), dtype=acc.dtype)
+    chained = 0
+    runs = [0, *cuts.tolist(), k]
+    for s0, s1 in zip(runs[:-1], runs[1:]):
+        lo = int(offsets[s0])
+        hi = int(offsets[s1]) if s1 < k else n
+        length, out = int(lengths[s0]), sums[s0:s1]
+        if length > CHAIN_MAX_LEN:
+            np.add.reduceat(acc[lo:hi], offsets[s0:s1] - lo, axis=0, out=out)
+            continue
+        chained += s1 - s0
+        block = acc[lo:hi].reshape(s1 - s0, length, acc.shape[1])
+        if length == 1:
+            out[...] = block[:, 0]
+            continue
+        if length == 2:
+            np.add(block[:, 0], block[:, 1], out=out)
+            continue
+        np.add(block[:, 1], block[:, 2], out=out)
+        for j in range(3, length):
+            out += block[:, j]
+        np.add(block[:, 0], out, out=out)
+    if chained:
+        counter_add("kernel.segsum.chained", chained)
+    if chained < k:
+        counter_add("kernel.segsum.reduceat", k - chained)
+    return sums
 
 
 def csf_mttkrp(

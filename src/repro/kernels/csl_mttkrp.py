@@ -8,9 +8,12 @@ and the per-slice partial sums need no atomics.  Like the paper's kernel,
 whose warps span the rank and read each nonzero's factor rows whole, it
 works row-major: each pass gathers whole rows of C-contiguous ``(I, R)``
 row tables into an ``(n, R)`` scratch over whole slices of about
-``ROW_PASS_NNZ`` nonzeros, reduces every slice with ``np.add.reduceat``
-along axis 0 and adds each slice's row into ``out`` once (see
-:mod:`repro.kernels.csf_mttkrp`).
+``ROW_PASS_NNZ`` nonzeros, sums every slice with
+:func:`~repro.kernels.csf_mttkrp.segment_sums` and adds each slice's row
+into ``out`` once (see :mod:`repro.kernels.csf_mttkrp`).  The builders
+store slices in (nonzero count, root index) order, so a pass's slices
+fall into one or two runs of equal length that chained vectorised adds
+sum; a group in any other slice order gives the same bits, more slowly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.csf_mttkrp import (Scratch, check_rows, kernel_passes,
-                                      row_major, row_pass_nnz)
+                                      row_major, row_pass_nnz, segment_sums)
 from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csl_mttkrp"]
@@ -42,7 +45,8 @@ def csl_mttkrp(
     slice_ptr:
         ``(num_slices + 1,)`` pointers into the nonzero arrays.
     slice_inds:
-        ``(num_slices,)`` root-mode index of each stored slice.
+        ``(num_slices,)`` root-mode index of each stored slice, unique, in
+        any order (the builders use (nonzero count, root index) order).
     rest_indices:
         ``(nnz, order - 1)`` indices of the non-root modes, ordered as
         ``mode_order[1:]``.
@@ -64,8 +68,8 @@ def csl_mttkrp(
     slab_nnz:
         Nonzeros per pass (``None``:
         :func:`~repro.kernels.csf_mttkrp.row_pass_nnz`).  Passes split
-        only at slice boundaries and a slice is always reduced by one
-        ``reduceat`` call, so the result is bit-identical to the
+        only at slice boundaries and every slice is summed in
+        ``reduceat``'s association, so the result is bit-identical to the
         single-pass evaluation.
     """
     num_slices = slice_inds.shape[0]
@@ -109,5 +113,5 @@ def csl_mttkrp(
             range_vals = vals[lo:hi]
         acc = scratch.hadamard(tables, cols, range_vals, r0, r1)
         # slices are unique, so each slice's row is written once
-        out[inds, r0:r1] += np.add.reduceat(acc, offsets, axis=0)
+        out[inds, r0:r1] += segment_sums(acc, offsets)
     return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels.csf_mttkrp import csf_mttkrp, segment_sum
+from repro.kernels.csf_mttkrp import CHAIN_MAX_LEN, csf_mttkrp, segment_sum
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import build_csf
 from repro.tensor.dense import einsum_mttkrp
@@ -85,11 +85,16 @@ class TestReduceatSummationOrder:
     the same.  The CSF tree kernel reduces its rank-major ``(R, n)``
     scratch along axis 1, the CSL and COO kernels their row-major ``(n,
     R)`` scratch along axis 0, and the golden digests were recorded with
-    every kernel rank-major.  If a numpy upgrade changes either path, this
-    test names the cause before the golden-digest test fails.
+    every kernel rank-major.  :func:`segment_sums` sums segments of up to
+    :data:`CHAIN_MAX_LEN` nonzeros with chained adds, which is the model's
+    association only while the pairwise part is a plain left-to-right
+    sum: every length 1-10 is listed, so the chained regime (1-8) and the
+    first pairwise length (9) fail here by name.  If a numpy upgrade
+    changes any of this, this class names the cause before the
+    golden-digest test fails.
     """
 
-    LENGTHS = (1, 5, 9, 130, 1000)
+    LENGTHS = (*range(1, 11), 130, 1000)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_first_plus_pairwise_model(self, dtype):
@@ -107,6 +112,23 @@ class TestReduceatSummationOrder:
                 want = seg[0] + _pairwise(seg[1:]) if len(seg) > 1 else seg[0]
                 assert rank_major[r, s].tobytes() == dtype(want).tobytes(), \
                     (r, b - a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chained_regime_ends_at_chain_max_len(self, dtype):
+        """``x0 + (((x1 + x2) + x3) ...)`` is ``reduceat``'s sum up to
+        :data:`CHAIN_MAX_LEN` nonzeros and not one longer."""
+        rng = np.random.default_rng(11)
+        for length in range(1, CHAIN_MAX_LEN + 2):
+            rows = self.spread_rows(200 * length, dtype, rng)
+            block = rows.reshape(200, length, -1)
+            chain = block[:, 1].copy() if length > 1 else None
+            for j in range(2, length):
+                chain += block[:, j]
+            want = block[:, 0] + chain if length > 1 else block[:, 0]
+            got = np.add.reduceat(rows, np.arange(0, 200 * length, length),
+                                  axis=0)
+            same = got.tobytes() == want.tobytes()
+            assert same == (length <= CHAIN_MAX_LEN), length
 
     @staticmethod
     def assert_axes_agree(rows: np.ndarray, starts: np.ndarray) -> None:
