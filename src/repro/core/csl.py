@@ -138,7 +138,10 @@ def length_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     moves slice ``s``'s nonzeros there, so the nonzero at position ``p``
     of the root-ordered stream lands at ``p + shift[s]``.
     """
-    order = np.argsort(counts, kind="stable")
+    key = counts
+    if counts.shape[0] and int(counts.max()) <= np.iinfo(np.uint16).max:
+        key = counts.astype(np.uint16)   # numpy radix-sorts 16-bit keys
+    order = np.argsort(key, kind="stable")
     slice_ptr = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts[order], out=slice_ptr[1:])
     root_start = np.cumsum(counts) - counts

@@ -146,3 +146,17 @@ class TestSegsumCounters:
         delta = counters_delta(before)
         assert delta["kernel.segsum.chained"] == tensor.nnz
         assert "kernel.segsum.reduceat" not in delta
+
+
+@pytest.mark.parametrize("name, order", [("varied", "C"), ("dense", "F")])
+def test_hbcsf_output_layout_follows_group_shares(name, order):
+    """A made ``out`` is row-major when the row-kernel groups (COO, CSL)
+    hold most nonzeros; either layout gives the same bits."""
+    tensor = (varied_slices() if name == "varied"
+              else random_coo((6, 7, 8), 300, default_rng(9)))
+    rep = build_hbcsf(tensor, 0)
+    factors = make_factors(tensor.shape, 5, seed=2)
+    made = rep.mttkrp(factors)
+    assert made.flags[f"{order}_CONTIGUOUS"]
+    other = np.zeros(made.shape, order="F" if order == "C" else "C")
+    assert made.tobytes() == rep.mttkrp(factors, out=other).tobytes()
