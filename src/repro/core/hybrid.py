@@ -329,8 +329,8 @@ def build_hbcsf(
 
     # The CSL slice pointer comes straight from the scanner's per-slice
     # counts, and csl_shift[root] moves each slice's nonzeros from their
-    # root-ordered stream position to (count, root) order.  (Made after
-    # the groups' arrays, so these temporaries leave no hole among them.)
+    # root-ordered stream position to (count, root) order.  The dels
+    # below keep these temporaries out of the B-CSF build's peak.
     csl_order, slice_ptr, shift = length_order(csl_counts)
     csl_shift = np.zeros(shape[root], dtype=np.int64)
     csl_shift[csl_roots] = shift
