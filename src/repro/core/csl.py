@@ -5,11 +5,12 @@ such slices the fiber-pointer level of CSF is pure overhead: the slice
 pointer can address the nonzeros directly, which saves both the two fiber
 arrays (storage) and the per-fiber reduction (operations).
 
-The builders store a group's slices in (nonzero count, root index) order:
-the binning of slices by length that the paper adopts for slc-split
-(Section IV-A).  Equal-length slices then sit next to each other, and the
-kernel sums a whole bin with vectorised adds (see
-:func:`~repro.kernels.csf_mttkrp.segment_sums`).
+The builders bin a group's short slices by length: the binning of slices
+by length that the paper adopts for slc-split (Section IV-A).  Slices of
+at most ``CHAIN_MAX_LEN`` nonzeros sit in one bin per length, in root
+order within a bin, and the kernel sums a whole bin with vectorised adds
+(see :func:`~repro.kernels.csf_mttkrp.segment_sums`); every longer slice
+follows, in root order (see :func:`length_order`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels.csf_mttkrp import CHAIN_MAX_LEN
 from repro.kernels.csl_mttkrp import csl_mttkrp
 from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_ordering
 from repro.tensor.csf import CsfTensor
@@ -40,8 +42,9 @@ class CslGroup:
         ``(num_slices + 1,)`` pointers into the nonzero arrays.
     slice_inds:
         ``(num_slices,)`` root-mode index of each slice.  The builders
-        emit slices in (nonzero count, root index) order, not ascending
-        root order; the kernel accepts any order of unique roots.
+        emit slices in :func:`length_order` (short slices binned by
+        length, then the long ones), not ascending root order; the kernel
+        accepts any order of unique roots.
     rest_indices:
         ``(nnz, order - 1)`` non-root indices per nonzero.
     values:
@@ -129,18 +132,21 @@ def empty_csl_group(shape: tuple[int, ...], mode_order: tuple[int, ...]) -> CslG
 
 def length_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                               np.ndarray]:
-    """(count, root) order of slices listed in root order with nonzero
+    """Length-binned order of slices listed in root order with nonzero
     ``counts``.
 
-    Returns ``(order, slice_ptr, shift)``: ``order`` indexes the slices
-    by nonzero count, ties kept in root order (one stable sort);
-    ``slice_ptr`` is the slice pointer in that order; and ``shift[s]``
-    moves slice ``s``'s nonzeros there, so the nonzero at position ``p``
-    of the root-ordered stream lands at ``p + shift[s]``.
+    The sort key is ``(min(count, CHAIN_MAX_LEN + 1), root)``: one bin
+    per length the kernel sums with chained adds, then every longer slice
+    in root order, since those keep ``reduceat`` and gain nothing from
+    binning but the root locality of their output rows.  Returns
+    ``(order, slice_ptr, shift)``: ``order`` indexes the slices in that
+    order (one stable sort); ``slice_ptr`` is the slice pointer in that
+    order; and ``shift[s]`` moves slice ``s``'s nonzeros there, so the
+    nonzero at position ``p`` of the root-ordered stream lands at ``p +
+    shift[s]``.
     """
-    key = counts
-    if counts.shape[0] and int(counts.max()) <= np.iinfo(np.uint16).max:
-        key = counts.astype(np.uint16)   # numpy radix-sorts 16-bit keys
+    # 8-bit keys, which numpy radix-sorts
+    key = np.minimum(counts, CHAIN_MAX_LEN + 1).astype(np.uint8)
     order = np.argsort(key, kind="stable")
     slice_ptr = np.zeros(counts.shape[0] + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts[order], out=slice_ptr[1:])
@@ -200,7 +206,7 @@ def build_csl_group(csf: CsfTensor, slice_mask: np.ndarray | None = None) -> Csl
                     if rest_cols else np.zeros((int(keep.sum()), 0), dtype=INDEX_DTYPE))
 
     # Leaves are stored slice-contiguously in root order; move each kept
-    # slice's run of leaves to its place in (count, root) order.
+    # slice's run of leaves to its place in length order.
     kept_slices = np.flatnonzero(slice_mask)
     counts = np.bincount(kept_slice_of_leaf, minlength=num_slices)[kept_slices]
     order, slice_ptr, shift = length_order(counts)

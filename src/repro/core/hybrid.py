@@ -32,8 +32,12 @@ __all__ = ["SlicePartition", "HbcsfTensor", "partition_slices", "build_hbcsf"]
 
 #: rows of a sorted chunk :func:`build_hbcsf` routes at a time, so the
 #: router's masks, gathered columns and CSL destinations stay a few MB
-#: however large an in-memory chunk is.
-ROUTE_ROWS = 1 << 16
+#: however large an in-memory chunk is.  At 2x10^5 nonzeros routing a
+#: whole chunk peaks at 3.39x the input on the hypersparse shape of
+#: ``tests/core/test_build_memory.py`` (bound 3.4); blocks of 2^12 / 2^14
+#: / 2^16 rows peak at 2.96 / 2.96 / 3.02x, and build the benchmark's
+#: 10^6-nonzero tensors in the same time from 2^14 up (2^12: 4-8% slower).
+ROUTE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -194,12 +198,11 @@ class HbcsfTensor:
         the groups present: to C-contiguous row tables for the row-major
         COO and CSL kernels, to the rank-major layout for the B-CSF tree.
 
-        An ``out`` made here is C-ordered when the COO and CSL groups hold
-        at least half the nonzeros, F-ordered otherwise.  The row kernels
-        add whole rows at roots spread over the output (CSL slices are
-        stored by length, not by root): 4 cache lines per rank-32 row in C
-        order, 32 in F order.  The tree kernel writes rank rows, which F
-        order keeps contiguous.  The layout changes no bits.
+        An ``out`` made here is C-ordered: the row kernels add whole rows
+        at roots spread over the output (short CSL slices are stored by
+        length, not by root), 4 cache lines per rank-32 row in C order
+        against 32 in F order, and the tree kernel's rank-row writes were
+        measured no slower into C than into F.  The layout changes no bits.
         """
         if validate:
             rank = _check_factors(self.shape, factors, self.root_mode)
@@ -207,9 +210,7 @@ class HbcsfTensor:
             rank = factors[self.root_mode].shape[1]
         rows = self.shape[self.root_mode]
         if out is None:
-            row_nnz = self.coo_group.nnz + self.csl_group.nnz
-            out = np.zeros((rows, rank), dtype=resolve_dtype(dtype),
-                           order="C" if 2 * row_nnz >= self.nnz else "F")
+            out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
         elif out.shape != (rows, rank):
             raise DimensionError(f"out has shape {out.shape}, expected {(rows, rank)}")
         if self.coo_group.nnz or self.csl_group.nnz:
@@ -304,8 +305,8 @@ def build_hbcsf(
     coo_idx = np.empty((coo_nnz, order), dtype=INDEX_DTYPE)
     coo_vals = np.empty(coo_nnz, dtype=VALUE_DTYPE)
 
-    # CSL group: non-root columns in mode_order[1:], slices in (count,
-    # root) order.
+    # CSL group: non-root columns in mode_order[1:], slices in length
+    # order (core.csl.length_order).
     csl_roots = present[partition.csl_mask]
     csl_counts = nnz_present[partition.csl_mask]
     csl_nnz = int(csl_counts.sum())
@@ -328,13 +329,13 @@ def build_hbcsf(
     group_of_root[csf_roots] = 2
 
     # The CSL slice pointer comes straight from the scanner's per-slice
-    # counts, and csl_shift[root] moves each slice's nonzeros from their
-    # root-ordered stream position to (count, root) order.  The dels
-    # below keep these temporaries out of the B-CSF build's peak.
+    # counts.  CSL nonzeros arrive in root order, slice s's at stream
+    # positions [stream_ptr[s], stream_ptr[s + 1]), and shift[s] moves
+    # them to length order.  The dels below keep these per-slice
+    # temporaries out of the B-CSF build's peak.
     csl_order, slice_ptr, shift = length_order(csl_counts)
-    csl_shift = np.zeros(shape[root], dtype=np.int64)
-    csl_shift[csl_roots] = shift
-    del shift
+    stream_ptr = np.zeros(csl_counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(csl_counts, out=stream_ptr[1:])
 
     coo_pos = csl_pos = 0
     for chunk in chunks():
@@ -351,9 +352,14 @@ def build_hbcsf(
             sel = grp == 1
             k = int(np.count_nonzero(sel))
             if k:
+                # the slices overlapping stream positions [csl_pos, end)
+                end = csl_pos + k
+                s0 = np.searchsorted(stream_ptr, csl_pos, side="right") - 1
+                s1 = np.searchsorted(stream_ptr, end, side="left")
+                cover = np.clip(stream_ptr[s0:s1 + 1], csl_pos, end)
+                dest = np.repeat(shift[s0:s1], np.diff(cover))
+                dest += np.arange(csl_pos, end)
                 # 1-D masks and scatters: no (dest, col) index broadcast
-                dest = csl_shift[idx[:, root][sel]]
-                dest += np.arange(csl_pos, csl_pos + k)
                 for col, m in enumerate(mode_order[1:]):
                     rest_indices[:, col][dest] = idx[:, m][sel]
                 csl_vals[dest] = vals[sel]
@@ -362,7 +368,7 @@ def build_hbcsf(
             if sel.any():
                 asm.fill(idx[sel], vals[sel])
 
-    del csl_shift
+    del shift, stream_ptr
     slice_inds = csl_roots[csl_order].astype(INDEX_DTYPE)
     del csl_order
     coo_group = (CooTensor(coo_idx, coo_vals, shape, validate=False)

@@ -70,6 +70,11 @@ def threaded_mttkrp(
     ``plan_key`` — the representation's build-plan cache key — lets the
     shard plan be content-addressed alongside the build artifact it
     partitions.
+
+    An ``out`` made here is C-ordered, like the one
+    :meth:`HbcsfTensor.mttkrp <repro.core.hybrid.HbcsfTensor.mttkrp>`
+    makes: whole rows for the row kernels, and no slower for the tree
+    kernel.  The layout changes no bits.
     """
     if validate:
         rank = _check_factors(rep.shape, factors, mode)
@@ -77,7 +82,7 @@ def threaded_mttkrp(
         rank = factors[mode].shape[1]
     rows = rep.shape[mode]
     if out is None:
-        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype), order="F")
+        out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
     elif out.shape != (rows, rank):
         raise DimensionError(
             f"out has shape {out.shape}, expected {(rows, rank)}")

@@ -9,7 +9,7 @@ power law, a CSL/B-CSF community mix, a hypersparse CSL/COO tensor).
 
 Measured on numpy 2.4 (peak / input bytes, per shape):
 
-* ``build_hbcsf``: 2.02 / 2.34 / 3.01 (routing 2^16-row blocks, CSL
+* ``build_hbcsf``: 1.86 / 2.13 / 2.96 (routing 2^14-row blocks, CSL
   slices in length order); a construction that builds the full CSF and
   carves groups out of it peaks at 3.80 / 4.21 / 4.69.
 * ``build_csf``: 2.25 / 2.43 / 2.74; the deduplicate + sort it starts with

@@ -1,6 +1,6 @@
-"""CSL slice order: every builder stores a group's slices in (nonzero count,
-root index) order, and that order changes the kernel's speed, never its
-bits."""
+"""CSL slice order: every builder stores a group's slices in length order
+(short slices binned by nonzero count, then the long ones, each in root
+order), and that order changes the kernel's speed, never its bits."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core.csl import CslGroup, build_csl_group
 from repro.core.hybrid import build_hbcsf, partition_slices
 from repro.formats import get_format
 from repro.kernels.coo_mttkrp import coo_mttkrp
-from repro.kernels.csf_mttkrp import SEGSUM_MAX_RUNS
+from repro.kernels.csf_mttkrp import CHAIN_MAX_LEN, SEGSUM_MAX_RUNS
 from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import build_csf
@@ -46,10 +46,11 @@ TENSORS = {
 }
 
 
-def assert_count_root_order(group: CslGroup) -> None:
-    counts = np.diff(group.slice_ptr)
-    assert np.all(np.diff(counts) >= 0)
-    order = np.lexsort((group.slice_inds, counts))
+def assert_length_order(group: CslGroup) -> None:
+    """Slices sorted by (min(count, CHAIN_MAX_LEN + 1), root)."""
+    bins = np.minimum(np.diff(group.slice_ptr), CHAIN_MAX_LEN + 1)
+    assert np.all(np.diff(bins) >= 0)
+    order = np.lexsort((group.slice_inds, bins))
     np.testing.assert_array_equal(order, np.arange(group.num_slices))
 
 
@@ -71,7 +72,7 @@ def root_ordered(group: CslGroup) -> CslGroup:
 
 
 @pytest.mark.parametrize("name", sorted(TENSORS))
-def test_every_built_group_is_in_count_root_order(name):
+def test_every_built_group_is_in_length_order(name):
     tensor = TENSORS[name]()
     groups = [build_hbcsf(tensor, mode).csl_group
               for mode in range(tensor.order)]
@@ -79,7 +80,7 @@ def test_every_built_group_is_in_count_root_order(name):
     groups.append(build_csl_group(csf, partition_slices(csf).csl_mask))
     assert sum(group.num_slices > 1 for group in groups) >= 2
     for group in groups:
-        assert_count_root_order(group)
+        assert_length_order(group)
 
 
 @pytest.mark.parametrize("name", sorted(TENSORS))
@@ -121,11 +122,13 @@ class TestSegsumCounters:
                 for way in ("chained", "reduceat")}
 
     def test_length_ordered_group(self):
-        # one pass: runs of 2, 3 and long (9, 9, 20) segments
+        # one pass: runs of 2, 3 and long (9, 9, 20 in root order) segments
         group = build_csl_group(build_csf(
             varied_slices((2, 3, 9, 2, 3, 20, 3, 9)), 0))
-        np.testing.assert_array_equal(np.diff(group.slice_ptr),
-                                      [2, 2, 3, 3, 3, 9, 9, 20])
+        np.testing.assert_array_equal(np.diff(group.slice_ptr)[:5],
+                                      [2, 2, 3, 3, 3])
+        np.testing.assert_array_equal(np.sort(np.diff(group.slice_ptr)[5:]),
+                                      [9, 9, 20])
         assert self.sums_of(group) == {"chained": 5, "reduceat": 3}
 
     def test_many_length_changes_fall_back(self):
@@ -148,15 +151,18 @@ class TestSegsumCounters:
         assert "kernel.segsum.reduceat" not in delta
 
 
-@pytest.mark.parametrize("name, order", [("varied", "C"), ("dense", "F")])
-def test_hbcsf_output_layout_follows_group_shares(name, order):
-    """A made ``out`` is row-major when the row-kernel groups (COO, CSL)
-    hold most nonzeros; either layout gives the same bits."""
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+@pytest.mark.parametrize("name", ["varied", "dense"])
+def test_hbcsf_output_is_row_major(name, backend):
+    """A made ``out`` is row-major on either backend, whichever group holds
+    the nonzeros, and an F-ordered ``out`` gets the same bits."""
     tensor = (varied_slices() if name == "varied"
               else random_coo((6, 7, 8), 300, default_rng(9)))
+    spec = get_format("hb-csf")
     rep = build_hbcsf(tensor, 0)
     factors = make_factors(tensor.shape, 5, seed=2)
-    made = rep.mttkrp(factors)
-    assert made.flags[f"{order}_CONTIGUOUS"]
-    other = np.zeros(made.shape, order="F" if order == "C" else "C")
-    assert made.tobytes() == rep.mttkrp(factors, out=other).tobytes()
+    made = spec.mttkrp(rep, factors, 0, backend=backend, num_workers=2)
+    assert made.flags.c_contiguous
+    other = spec.mttkrp(rep, factors, 0, out=np.zeros(made.shape, order="F"),
+                        backend=backend, num_workers=2)
+    assert made.tobytes() == other.tobytes()
