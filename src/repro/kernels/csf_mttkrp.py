@@ -29,9 +29,10 @@ along either axis, with ``P`` numpy's pairwise sum, and
 equal-length segments of at most :data:`CHAIN_MAX_LEN` nonzeros (where
 ``P`` is a plain left-to-right sum) is summed by chained vectorised adds
 over a ``(k, L, R)`` view, and longer segments keep ``reduceat``.  CSL
-groups store their slices in (nonzero count, root index) order -- the
-paper's slice binning by length (Section IV-A) -- so a pass holds one or
-two such runs.  The output bits therefore depend neither on the layout nor
+groups bin their slices of at most :data:`CHAIN_MAX_LEN` nonzeros by
+length -- the paper's slice binning (Section IV-A) -- and store the longer
+ones after them in root order (:func:`repro.core.csl.length_order`), so a
+pass holds one or two runs.  The output bits therefore depend neither on the layout nor
 on the slice order (``tests/kernels/golden_mttkrp.json`` pins them and
 ``TestReduceatSummationOrder`` in ``tests/kernels/test_csf_mttkrp.py``
 numpy's association).

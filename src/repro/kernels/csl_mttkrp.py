@@ -11,8 +11,9 @@ row tables into an ``(n, R)`` scratch over whole slices of about
 ``ROW_PASS_NNZ`` nonzeros, sums every slice with
 :func:`~repro.kernels.csf_mttkrp.segment_sums` and adds each slice's row
 into ``out`` once (see :mod:`repro.kernels.csf_mttkrp`).  The builders
-store slices in (nonzero count, root index) order, so a pass's slices
-fall into one or two runs of equal length that chained vectorised adds
+bin the short slices by length and store the long ones after them in root
+order (:func:`repro.core.csl.length_order`), so a pass's slices fall
+into one or two runs that chained vectorised adds or one ``reduceat``
 sum; a group in any other slice order gives the same bits, more slowly.
 """
 
@@ -46,7 +47,7 @@ def csl_mttkrp(
         ``(num_slices + 1,)`` pointers into the nonzero arrays.
     slice_inds:
         ``(num_slices,)`` root-mode index of each stored slice, unique, in
-        any order (the builders use (nonzero count, root index) order).
+        any order (the builders use :func:`repro.core.csl.length_order`).
     rest_indices:
         ``(nnz, order - 1)`` indices of the non-root modes, ordered as
         ``mode_order[1:]``.
