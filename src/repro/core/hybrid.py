@@ -36,7 +36,7 @@ __all__ = ["SlicePartition", "HbcsfTensor", "partition_slices", "build_hbcsf"]
 #: whole chunk peaks at 3.39x the input on the hypersparse shape of
 #: ``tests/core/test_build_memory.py`` (bound 3.4); blocks of 2^12 / 2^14
 #: / 2^16 rows peak at 2.96 / 2.96 / 3.02x, and build the benchmark's
-#: 10^6-nonzero tensors in the same time from 2^14 up (2^12: 4-8% slower).
+#: 10^6-nonzero tensors in the same time from 2^14 up (2^12: 3-8% slower).
 ROUTE_ROWS = 1 << 14
 
 
