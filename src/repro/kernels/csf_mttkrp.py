@@ -15,14 +15,15 @@ Kernel layout.  The CSF tree kernel (CSF, B-CSF, the HB-CSF B-CSF group)
 is *rank-major*: its per-nonzero scratch is a C-contiguous ``(rows, n)``
 array of rank rows by nonzeros, gathered with ``np.take(F.T[r0:r1], idx,
 axis=1)`` from the ``(R, I)`` view of an F-contiguous ``(I, R)`` factor (see
-:func:`rank_major`).  Segments are reduced along the last axis with
-``np.add.reduceat``, and each reduced row is written into ``out.T[r0:r1]``
-once, with a plain indexed add wherever the target rows are unique.  The
-CSL and COO kernels are *row-major*, like the paper's CSL kernel, whose
-warps read each nonzero's factor rows whole: they gather whole rows with
-``np.take(T, idx, axis=0)`` from C-contiguous ``(I, R)`` row tables (see
-:func:`row_major`) into an ``(n, R)`` scratch, sum slices or runs with
-:func:`segment_sums` and add each summed row into ``out`` once.
+:func:`rank_major`).  Each tree level's segments are summed along the
+last axis by a :class:`LevelSum`, and each root's row is written into
+``out.T[r0:r1]`` once, with a plain indexed add wherever the target rows
+are unique.  The CSL and COO kernels are *row-major*, like the paper's
+CSL kernel, whose warps read each nonzero's factor rows whole: they
+gather whole rows with ``np.take(T, idx, axis=0)`` from C-contiguous
+``(I, R)`` row tables (see :func:`row_major`) into an ``(n, R)`` scratch,
+sum slices or runs with :func:`segment_sums` and add each summed row into
+``out`` once.
 ``np.add.reduceat`` associates a segment's sum as ``x0 + P(x1 ...)``
 along either axis, with ``P`` numpy's pairwise sum, and
 :func:`segment_sums` reproduces that association exactly: a run of
@@ -32,8 +33,23 @@ over a ``(k, L, R)`` view, and longer segments keep ``reduceat``.  CSL
 groups bin their slices of at most :data:`CHAIN_MAX_LEN` nonzeros by
 length -- the paper's slice binning (Section IV-A) -- and store the longer
 ones after them in root order (:func:`repro.core.csl.length_order`), so a
-pass holds one or two runs.  The output bits therefore depend neither on the layout nor
-on the slice order (``tests/kernels/golden_mttkrp.json`` pins them and
+pass holds one or two runs.
+
+The tree kernel's level sums rest on the same association.  Most B-CSF
+leaf fibers hold one nonzero (97.6-97.9% on the perfbench ``community``
+workload), and ``reduceat`` pays its per-segment cost for each of them.
+A level whose segments are mostly singletons (:data:`TREESUM_MIN_SINGLETONS`)
+is therefore summed in three parts, planned once per nonzero range and
+reused by every rank block: one ``take`` of the segment heads, which is
+the whole sum of a singleton; chained adds ``x0 + (((x1 + x2) + x3) ...)``
+for segments of at most :data:`CHAIN_MAX_LEN`; and one ``reduceat`` over
+the longer segments' own ``[start, end)`` offsets.  Each part sums its
+segments exactly as ``reduceat`` would, so the result is bit-identical
+to one ``reduceat`` over the level; other levels keep that one call.
+Nothing is stored in the tree, so the plan costs no index memory.
+
+The output bits therefore depend neither on the layout nor on the slice
+or level-sum order (``tests/kernels/golden_mttkrp.json`` pins them and
 ``TestReduceatSummationOrder`` in ``tests/kernels/test_csf_mttkrp.py``
 numpy's association).
 
@@ -68,8 +84,9 @@ from repro.util.errors import DimensionError, TensorFormatError
 
 __all__ = ["csf_mttkrp", "segment_sum", "segment_sums", "rank_major",
            "row_major", "DEFAULT_SLAB_ELEMS", "PASS_ROWS", "ROW_PASS_NNZ",
-           "CHAIN_MAX_LEN", "SEGSUM_MAX_RUNS", "slab_nnz_for", "row_pass_nnz",
-           "pass_rows", "kernel_passes", "Scratch", "check_rows"]
+           "CHAIN_MAX_LEN", "SEGSUM_MAX_RUNS", "TREESUM_MIN_SINGLETONS",
+           "slab_nnz_for", "row_pass_nnz", "pass_rows", "kernel_passes",
+           "Scratch", "LevelSum", "check_rows"]
 
 #: element budget of one kernel pass: the ``(rows, n)`` or ``(n, R)``
 #: scratch arrays the CSF, CSL and COO kernels materialise hold at most
@@ -107,6 +124,19 @@ CHAIN_MAX_LEN = 8
 #: a COO ``sort`` pass over a general tensor) is cheaper as one call; a
 #: length-ordered CSL pass holds one to three runs.
 SEGSUM_MAX_RUNS = 4
+
+#: share of a CSF tree level's segments that must be singletons before
+#: :class:`LevelSum` splits the level's sum instead of making one
+#: ``np.add.reduceat`` call.  Over 4 rank rows ``reduceat`` costs ~35 ns
+#: per segment, and the one ``take`` of segment heads ~8 ns, but a
+#: chained or long segment costs scattered gathers and a scattered write
+#: on top.  Measured on the perfbench B-CSF groups: ``community``'s leaf
+#: levels (97.6-97.9% singletons) sum 2.6-2.8x faster split and its
+#: tree-kernel calls run 0.74-0.77x; ``skewed-par2``'s mode-2 leaf level
+#: (85.8%) is ~15% slower split in one thread, but its 2-thread call runs
+#: 0.78-0.82x (``reduceat`` scales poorly across threads); its mode-0/1
+#: leaf levels (42-46%) are ~30% slower split and stay plain.
+TREESUM_MIN_SINGLETONS = 0.5
 
 
 def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
@@ -285,28 +315,15 @@ def row_major(factors: list[np.ndarray], dtype=None,
 
 def segment_sum(data: np.ndarray, ptr: np.ndarray,
                 validate: bool = True) -> np.ndarray:
-    """Sum ``data`` along its last axis over segments ``[ptr[n], ptr[n+1])``.
+    """Sum the ``(rows, n)`` array ``data`` along its last axis over the
+    segments ``[ptr[s], ptr[s+1])``: one :class:`LevelSum` call, so the
+    result has the bits of ``np.add.reduceat(data, ptr[:-1], axis=-1)``.
 
-    CSF guarantees no empty internal nodes, so every segment is non-empty,
-    which lets us use ``np.add.reduceat`` directly.
-
-    ``validate=False`` skips the ``np.diff`` monotonicity scan (an extra
-    O(len(ptr)) pass) for internal call sites — the CSF/B-CSF kernels on
-    builder-produced trees — whose builders already guarantee non-empty
-    monotone segments.
+    CSF guarantees no empty internal nodes, so every segment must be
+    non-empty; ``validate=False`` skips that scan for pointers a builder
+    produced.
     """
-    if validate:
-        if ptr.shape[0] == 0:
-            raise TensorFormatError("pointer array must have at least one entry")
-        if data.shape[-1] != int(ptr[-1]):
-            raise TensorFormatError(
-                f"pointer array covers {int(ptr[-1])} entries but data has {data.shape[-1]}"
-            )
-        if np.any(np.diff(ptr) <= 0):
-            raise TensorFormatError("segment_sum requires non-empty, monotone segments")
-    if ptr.shape[0] == 1:
-        return np.zeros(data.shape[:-1] + (0,), dtype=data.dtype)
-    return np.add.reduceat(data, ptr[:-1], axis=-1)
+    return LevelSum(ptr, validate=validate)(data, Scratch(data.dtype), 0)
 
 
 def segment_sums(acc: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -362,6 +379,102 @@ def segment_sums(acc: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     if chained < k:
         counter_add("kernel.segsum.reduceat", k - chained)
     return sums
+
+
+class LevelSum:
+    """Segment sums of one CSF tree level over one nonzero range,
+    bit-identical to ``np.add.reduceat(buf, ptr[:-1], axis=-1)`` for the
+    ``(rows, n)`` scratch of every rank block of the range.
+
+    ``ptr`` is the level's pointer array rebased to 0 (non-empty segments
+    covering ``[0, n)``).  Unless the level's share of length-1 segments
+    exceeds :data:`TREESUM_MIN_SINGLETONS`, a call is one plain
+    ``reduceat``.  Otherwise the segments are summed three ways, planned
+    here once for every rank block:
+
+    * one ``take`` of every segment's first column: the whole sum of a
+      singleton and ``x0`` of every other segment;
+    * segments of 2 to :data:`CHAIN_MAX_LEN` nonzeros, ordered longest
+      first so that step ``j`` adds column ``j`` of a prefix of them, are
+      ``x0 + (((x1 + x2) + x3) ...)``, ``reduceat``'s association at these
+      lengths (see :data:`CHAIN_MAX_LEN`);
+    * longer segments are summed by one ``reduceat`` over their
+      interleaved ``[start, end)`` offsets, every other output kept: the
+      same contiguous segments summed by the same call.
+
+    Constructing a plan adds the segments it sums each way to the
+    counters ``kernel.treesum.copied``, ``kernel.treesum.chained`` and
+    ``kernel.treesum.reduceat``.  ``validate`` checks that every segment
+    is non-empty.
+    """
+
+    def __init__(self, ptr: np.ndarray, validate: bool = True) -> None:
+        if ptr.shape[0] == 0:
+            raise TensorFormatError("pointer array must have at least one entry")
+        self.n = int(ptr[-1])
+        self.k = k = ptr.shape[0] - 1
+        lengths = np.diff(ptr)
+        if validate and k and int(lengths.min()) <= 0:
+            raise TensorFormatError("segment sums require non-empty, monotone segments")
+        singles = int(np.count_nonzero(lengths == 1))
+        self.split = singles > TREESUM_MIN_SINGLETONS * k
+        self.starts = ptr[:-1].astype(np.intp)
+        self.steps: list[np.ndarray] = []
+        self.chain_ids = self.long_ids = self.bounds = None
+        if not self.split:
+            if k:
+                counter_add("kernel.treesum.reduceat", k)
+            return
+        multi = (lengths != 1).nonzero()[0]
+        short = lengths[multi] <= CHAIN_MAX_LEN
+        chain, longs = multi[short], multi[~short]
+        if chain.shape[0]:
+            # longest first (an 8-bit key, so the stable sort is a radix sort)
+            clen = lengths[chain]
+            order = np.argsort((CHAIN_MAX_LEN - clen).astype(np.uint8),
+                               kind="stable")
+            self.chain_ids, clen = chain[order], clen[order]
+            heads = self.starts[self.chain_ids]
+            for j in range(1, int(clen[0])):
+                self.steps.append(heads[:int(np.count_nonzero(clen > j))] + j)
+        if longs.shape[0]:
+            self.long_ids = longs
+            bounds = np.empty(2 * longs.shape[0], dtype=np.intp)
+            bounds[0::2] = ptr[longs]
+            bounds[1::2] = ptr[longs + 1]
+            # reduceat offsets must lie below n: a last segment ending at n
+            # runs to the end without its end offset
+            self.bounds = bounds[:-1] if bounds[-1] == self.n else bounds
+        for name, count in (("copied", singles), ("chained", chain.shape[0]),
+                            ("reduceat", longs.shape[0])):
+            if count:
+                counter_add(f"kernel.treesum.{name}", count)
+
+    def __call__(self, buf: np.ndarray, scratch: Scratch,
+                 slot: int) -> np.ndarray:
+        """The ``(rows, k)`` segment sums of ``buf``, in buffer ``slot``
+        (the chained and long-segment sums also use slots 3 to 5)."""
+        rows = buf.shape[0]
+        if buf.shape[-1] != self.n:
+            raise TensorFormatError(
+                f"pointer array covers {self.n} entries but data has {buf.shape[-1]}")
+        if not self.split:
+            out = scratch._buf(slot, (rows, self.k))
+            if self.k:
+                np.add.reduceat(buf, self.starts, axis=-1, out=out)
+            return out
+        out = scratch.gather(slot, buf, self.starts)
+        if self.steps:
+            acc = scratch.gather(3, buf, self.steps[0])
+            for idx in self.steps[1:]:
+                acc[:, :idx.shape[0]] += scratch.gather(4, buf, idx)
+            np.add(scratch.gather(4, out, self.chain_ids), acc, out=acc)
+            out[:, self.chain_ids] = acc
+        if self.bounds is not None:
+            sums = scratch._buf(5, (rows, self.bounds.shape[0]))
+            np.add.reduceat(buf, self.bounds, axis=-1, out=sums)
+            out[:, self.long_ids] = sums[:, ::2]
+        return out
 
 
 def csf_mttkrp(
@@ -441,30 +554,31 @@ def csf_mttkrp(
             # contiguous intp (np.take's index form) once for every row
             # block's gathers.
             lo, hi = start, stop
-            fids, fptr = [], []
+            fids, sums = [], []
             for ptr in csf.fptr:
-                fids.append(np.ascontiguousarray(csf.fids[len(fptr)][lo:hi],
+                fids.append(np.ascontiguousarray(csf.fids[len(sums)][lo:hi],
                                                  dtype=np.intp))
                 seg = ptr[lo:hi + 1]
-                fptr.append(seg - seg[0])
+                sums.append(LevelSum(seg - seg[0], validate=validate))
                 lo, hi = int(ptr[lo]), int(ptr[hi])
             fids.append(np.ascontiguousarray(csf.fids[-1][lo:hi],
                                              dtype=np.intp))
             vals = values[lo:hi]
         tables = [None if m == mode else f.T[r0:r1]
                   for m, f in enumerate(factors)]
-        _tree_reduce(vals, fids, fptr, csf.mode_order, tables,
-                     out.T[r0:r1], scratch, validate)
+        _tree_reduce(vals, fids, sums, csf.mode_order, tables,
+                     out.T[r0:r1], scratch)
     return out
 
 
-def _tree_reduce(values: np.ndarray, fids: list, fptr: list,
+def _tree_reduce(values: np.ndarray, fids: list, sums: list,
                  mode_order: tuple, tables: list, out_t: np.ndarray,
-                 scratch: Scratch, validate: bool) -> None:
+                 scratch: Scratch) -> None:
     """Bottom-up CSF tree reduction of one pass, accumulated into the
-    ``(rows, I)`` output rows ``out_t``.  ``fptr`` entries must be rebased
-    to start at 0 and ``values``/``fids`` sliced consistently; ``tables``
-    are the pass's ``(rows, I)`` factor rows by mode."""
+    ``(rows, I)`` output rows ``out_t``.  ``sums`` holds one
+    :class:`LevelSum` per pointer level of the pass's nonzero range, and
+    ``values``/``fids`` are sliced to that range; ``tables`` are the
+    pass's ``(rows, I)`` factor rows by mode."""
     order = len(mode_order)
     # Leaf level: val * A_leafmode[leaf index, :], gathered as a (rows, nnz)
     # array and scaled in place (multiplication is commutative bit-for-bit).
@@ -472,15 +586,16 @@ def _tree_reduce(values: np.ndarray, fids: list, fptr: list,
     buf *= values
 
     # Reduce up the tree, scaling by the factor of each internal level except
-    # the root.  The reduction leaves the leaf buffer free for the gather.
+    # the root.  Level sums alternate between slots 1 and 2, so each reads
+    # the previous one's slot, and the leaf slot 0 is free for the gathers.
     for level in range(order - 2, 0, -1):
-        buf = segment_sum(buf, fptr[level], validate=validate)
+        buf = sums[level](buf, scratch, 1 + level % 2)
         buf *= scratch.gather(0, tables[mode_order[level]], fids[level])
 
     # Root level: reduce fibers (or sub-trees) into slices and write each
     # slice's row once.  Roots are unique except in an order-2 tree, whose
     # root level is the fiber level fbr-split may repeat.
-    slice_vals = segment_sum(buf, fptr[0], validate=validate)
+    slice_vals = sums[0](buf, scratch, 1)
     if order == 2:
         np.add.at(out_t.T, fids[0], slice_vals.T)
     else:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.kernels.csf_mttkrp import CHAIN_MAX_LEN, csf_mttkrp, segment_sum
+from repro.core.bcsf import build_bcsf
+from repro.formats import get_format
+from repro.kernels.csf_mttkrp import (CHAIN_MAX_LEN, LevelSum, csf_mttkrp,
+                                      segment_sum)
+from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import build_csf
 from repro.tensor.dense import einsum_mttkrp
@@ -161,6 +167,94 @@ class TestReduceatSummationOrder:
         starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         self.assert_axes_agree(
             self.spread_rows(int(lengths.sum()), dtype, rng), starts)
+
+
+def singleton_fibers(seed: int = 17) -> CooTensor:
+    """Order 3: six slices of mostly one-nonzero fibers, with fibers of
+    2-8 nonzeros, of 9-40 and one of 300 (fbr-split into 128-segments)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for root in range(6):
+        lengths = [1] * 120 + [2, 3, 5, 8, 8, 9, 13, 40]
+        if root == 2:
+            lengths.append(300)
+        for fiber, length in enumerate(rng.permutation(lengths)):
+            leaves = rng.choice(3000, int(length), replace=False)
+            rows.append(np.stack([np.full(length, root),
+                                  np.full(length, fiber), leaves], axis=1))
+    idx = np.concatenate(rows)
+    values = (rng.standard_normal(idx.shape[0])
+              * 10.0 ** rng.uniform(-6, 6, idx.shape[0]))
+    return CooTensor(idx, values, (6, 200, 3000))
+
+
+class TestTreeLevelSums:
+    """A B-CSF group whose leaf level is mostly singletons is summed by
+    the split :class:`LevelSum` path, with the bits of plain ``reduceat``."""
+
+    @pytest.fixture
+    def plain_only(self, monkeypatch):
+        """Run a call with every tree level on one plain ``reduceat``."""
+        module = importlib.import_module("repro.kernels.csf_mttkrp")
+
+        def run(call):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "TREESUM_MIN_SINGLETONS", 1.0)
+                return call()
+        return run
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_split_path_gives_reduceat_bits(self, plain_only, backend,
+                                            dtype):
+        bcsf = build_bcsf(singleton_fibers(), 0)
+        leaves = np.diff(bcsf.csf.fptr[-1])
+        assert np.mean(leaves == 1) > 0.5 and leaves.max() == 128
+        factors = make_factors(bcsf.shape, 7, seed=3)
+        spec = get_format("b-csf")
+
+        def call():
+            return spec.mttkrp(bcsf, factors, 0, dtype=dtype,
+                               backend=backend, num_workers=2)
+
+        before = counters_snapshot()
+        split = call()
+        delta = counters_delta(before)
+        assert all(delta.get(f"kernel.treesum.{way}", 0) > 0
+                   for way in ("copied", "chained", "reduceat"))
+        before = counters_snapshot()
+        plain = plain_only(call)
+        delta = counters_delta(before)
+        assert "kernel.treesum.copied" not in delta
+        assert "kernel.treesum.chained" not in delta
+        assert split.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("slab_nnz", [1, 150, 700])
+    def test_every_nonzero_range_plans_its_own_levels(self, plain_only,
+                                                      slab_nnz):
+        csf = build_bcsf(singleton_fibers(), 0).csf
+        factors = make_factors(csf.shape, 5, seed=4)
+        split = csf_mttkrp(csf, factors, slab_nnz=slab_nnz)
+        plain = plain_only(lambda: csf_mttkrp(csf, factors,
+                                              slab_nnz=slab_nnz))
+        assert split.tobytes() == plain.tobytes()
+
+    def test_counts_each_way_per_plan(self):
+        # singletons, chained 2..8, long (9, 20) and a long last segment
+        ptr = np.cumsum([0, 1, 1, 2, 1, 8, 1, 9, 1, 20, 1, 1, 12])
+        before = counters_snapshot()
+        LevelSum(ptr)
+        assert counters_delta(before) == {"kernel.treesum.copied": 7,
+                                          "kernel.treesum.chained": 2,
+                                          "kernel.treesum.reduceat": 3}
+        before = counters_snapshot()
+        LevelSum(np.cumsum([0, 2, 1, 9]))
+        assert counters_delta(before) == {"kernel.treesum.reduceat": 3}
+
+    def test_empty_segment_rejected(self):
+        with pytest.raises(TensorFormatError):
+            LevelSum(np.array([0, 1, 1, 2]))
+        LevelSum(np.array([0, 1, 1, 2]), validate=False)
 
 
 class TestValidateFastPath:
