@@ -25,17 +25,37 @@ def tensor_norm(tensor: CooTensor) -> float:
     return float(np.linalg.norm(tensor.values))
 
 
+#: columns :func:`column_dots` multiplies per step when an input is not
+#: F-contiguous: eight float64 columns of a C-ordered ``(I, R)`` array are
+#: one 64-byte cache line per row.
+_DOT_COLS = 8
+
+
 def column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.sum(a * b, axis=0)`` of two ``(I, R)`` arrays, one column at a
-    time through a single reused ``(I,)`` buffer instead of an ``(I, R)``
-    temporary.  Each column is summed by the same pairwise reduction, so
-    the result is bit-identical for the F-contiguous arrays CP-ALS keeps.
+    """``np.sum(a * b, axis=0)`` of two ``(I, R)`` arrays without an
+    ``(I, R)`` temporary.
+
+    Columns are multiplied into one reused F-ordered buffer and each
+    product column is reduced on its own.  F-contiguous inputs (CP-ALS
+    factors) go one column at a time through an ``(I,)`` buffer that stays
+    in cache; otherwise :data:`_DOT_COLS` columns at a time go through an
+    ``(I, 8)`` buffer, so a C-ordered input (the MTTKRP outputs of
+    :meth:`~repro.core.hybrid.HbcsfTensor.mttkrp`) is read a cache line per
+    row rather than one strided column per pass.  Each product column is
+    contiguous and reduced by the same pairwise sum, so the result is
+    bit-identical to the full product on F-contiguous arrays, whatever the
+    inputs' layout.
     """
-    buf = np.empty(a.shape[0], dtype=np.result_type(a, b))
-    dots = np.empty(a.shape[1], dtype=buf.dtype)
-    for r in range(a.shape[1]):
-        np.multiply(a[:, r], b[:, r], out=buf)
-        dots[r] = np.add.reduce(buf)
+    dtype = np.result_type(a, b)
+    rows, rank = a.shape
+    step = 1 if a.flags.f_contiguous and b.flags.f_contiguous else _DOT_COLS
+    block = np.empty((rows, min(step, rank)), dtype=dtype, order="F")
+    dots = np.empty(rank, dtype=dtype)
+    for r0 in range(0, rank, step):
+        prod = block[:, :min(step, rank - r0)]
+        np.multiply(a[:, r0:r0 + step], b[:, r0:r0 + step], out=prod)
+        for j in range(prod.shape[1]):
+            dots[r0 + j] = np.add.reduce(prod[:, j])
     return dots
 
 

@@ -73,6 +73,22 @@ class TestColumnDots:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rank", [1, 7, 8, 9, 32, 33])
+    def test_any_layout_gives_the_f_array_bits(self, dtype, rank):
+        """C-ordered MTTKRP outputs and mixed layouts give the bits of the
+        full product on F copies, across the 8-column blocks."""
+        rng = default_rng(rank)
+        a, b = ((rng.standard_normal((4099, rank))
+                 * 10.0 ** rng.uniform(-3, 3, (4099, rank))).astype(dtype)
+                for _ in range(2))
+        want = np.sum(np.asfortranarray(a) * np.asfortranarray(b), axis=0)
+        for x, y in ((a, b), (np.asfortranarray(a), b),
+                     (a, np.asfortranarray(b))):
+            got = column_dots(x, y)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestInnerprodAndFit:
     def test_innerprod_matches_dense(self, small3d):
