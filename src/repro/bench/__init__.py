@@ -8,8 +8,8 @@ between two commits by:
 * :mod:`repro.bench.ab` — ``repro-bench ab <rev>``: snapshots ``<rev>`` and
   ``HEAD``, runs alternating pairs of ``perfbench/run.py`` and gives each
   end-to-end metric a ``regression`` / ``unresolved`` / ``neutral`` /
-  ``gain`` verdict against its bound, plus per-layer deltas from one
-  traced pair.
+  ``gain`` verdict against its bound, plus per-layer deltas from the
+  medians of three traced pairs.
 
 The rest of the package times registered operations on small scenario
 cells — a must-run-clean smoke, not evidence:

@@ -10,8 +10,8 @@ which is deleted on exit, error included.  For each workload that
 ``BENCHMARK.json`` declares (or just ``W``), each side's benchmark command
 (``perfbench/run.py``) runs ``--trace 0`` for :data:`PAIRS` alternating
 pairs, the side that runs first swapping every pair, at the file's
-``run_seconds``; then one ``--trace 1`` pair.  Each run's last stdout line
-is its JSON result.
+``run_seconds``; then :data:`TRACED_PAIRS` alternating ``--trace 1``
+pairs.  Each run's last stdout line is its JSON result.
 
 For every end-to-end metric of ``BENCHMARK.json`` the report gives each
 side's median and IQR, the change's wins over the pairs, and a verdict:
@@ -27,8 +27,9 @@ side's median and IQR, the change's wins over the pairs, and a verdict:
 
 The command fails (exit 1) on a ``regression``, on any run that is not
 ``correct``, and when the change fails a larger share of its operations
-than the parent.  The traced pair's per-layer metrics follow as
-change/parent ratios, largest move first, to place a shift in a layer.
+than the parent.  Each per-layer metric follows as the change/parent
+ratio of its medians over the traced pairs, largest move first, to place
+a shift in a layer.
 """
 
 from __future__ import annotations
@@ -45,11 +46,18 @@ from typing import Callable
 from repro.util.errors import ReproError
 from repro.util.timing import quantile
 
-__all__ = ["PAIRS", "MetricVerdict", "AbReport", "evaluate", "run_ab"]
+__all__ = ["PAIRS", "TRACED_PAIRS", "MetricVerdict", "AbReport",
+           "evaluate", "run_ab"]
 
 #: alternating parent/change pairs per workload: the fewest that can meet
 #: the 9-of-10 win rule a gain needs.
 PAIRS = 10
+#: alternating traced pairs per workload; a per-layer value is the median
+#: of these runs.  One traced call of a layer varies by 10-20% between
+#: runs, as much as the shifts a change is meant to place in a layer (three
+#: ``ab`` runs of the same two commits read one CSL group time 0.67x, 1.24x
+#: and 1.08x); the median of three discards one outlying run.
+TRACED_PAIRS = 3
 SIDES = ("parent", "change")
 
 
@@ -74,7 +82,8 @@ class AbReport:
 
     workload: str
     metrics: list[MetricVerdict]
-    #: (per-layer metric, parent value, change value), largest move first
+    #: (per-layer metric, parent median, change median) over the traced
+    #: pairs, largest move first
     layers: list[tuple[str, float, float]]
     #: failed operations / attempted operations, per side
     failed: dict[str, tuple[int, int]]
@@ -129,17 +138,17 @@ def _layer_move(parent: float, change: float) -> float:
 
 
 def evaluate(workload: str, benchmark: dict, runs: dict[str, list[dict]],
-             traced: dict[str, dict]) -> AbReport:
+             traced: dict[str, list[dict]]) -> AbReport:
     """Judge one workload from parsed run results.
 
     ``runs[side][i]`` is pair ``i``'s ``--trace 0`` result of ``side``
-    (``"parent"`` / ``"change"``); ``traced[side]`` is its ``--trace 1``
-    result.
+    (``"parent"`` / ``"change"``); ``traced[side][i]`` is traced pair
+    ``i``'s ``--trace 1`` result.
     """
     problems = []
     failed = {}
     for side in SIDES:
-        every = runs[side] + [traced[side]]
+        every = runs[side] + traced[side]
         bad = sum(not r["correct"] for r in every)
         if bad:
             problems.append(f"{side}: {bad} of {len(every)} runs not correct")
@@ -163,9 +172,11 @@ def evaluate(workload: str, benchmark: dict, runs: dict[str, list[dict]],
     layers = []
     for metric in benchmark["per_layer"]:
         name = metric["name"]
-        if all(name in traced[side]["metrics"] for side in SIDES):
-            layers.append((name, traced["parent"]["metrics"][name]["value"],
-                           traced["change"]["metrics"][name]["value"]))
+        values = {side: [r["metrics"][name]["value"] for r in traced[side]
+                         if name in r["metrics"]] for side in SIDES}
+        if all(len(values[side]) == len(traced[side]) for side in SIDES):
+            layers.append((name, quantile(values["parent"], 0.5),
+                           quantile(values["change"], 0.5)))
     layers.sort(key=lambda row: _layer_move(row[1], row[2]), reverse=True)
     return AbReport(workload, metrics, layers, failed, problems)
 
@@ -186,8 +197,8 @@ def _format_report(report: AbReport) -> str:
     lines = [f"== {report.workload}", format_table(rows)]
     lines.append("failed operations: " + ", ".join(
         f"{side} {n}/{total}" for side, (n, total) in report.failed.items()))
-    lines.append("per-layer, traced pair (change / parent), "
-                 "largest move first:")
+    lines.append("per-layer, medians over the traced pairs "
+                 "(change / parent), largest move first:")
     lines.append(format_table([{
         "layer metric": name,
         "parent": p,
@@ -248,11 +259,14 @@ def _measure(checkouts: dict[str, Path], command: list[str], workload: str,
                                         seconds, trace=0))
             log(f"[ab] {workload} pair {i + 1}/{PAIRS} {side}: "
                 f"{time.perf_counter() - start:.0f} s")
-    traced = {}
-    for side in SIDES:
-        traced[side] = _run_once(checkouts[side], command, workload,
-                                 seconds, trace=1)
-        log(f"[ab] {workload} traced {side} done")
+    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(TRACED_PAIRS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            traced[side].append(_run_once(checkouts[side], command, workload,
+                                          seconds, trace=1))
+            log(f"[ab] {workload} traced pair {i + 1}/{TRACED_PAIRS} "
+                f"{side} done")
     return runs, traced
 
 
@@ -282,8 +296,8 @@ def run_ab(rev: str, workload: str | None = None, repo: str | Path = ".",
             raise ReproError(f"unknown workload {workload!r}; "
                              f"BENCHMARK.json declares {', '.join(names)}")
         log(f"[ab] parent {rev} ({shas['parent']}) vs change HEAD "
-            f"({shas['change']}): {PAIRS} pairs of "
-            f"{benchmark['run_seconds']} s runs")
+            f"({shas['change']}): {PAIRS} pairs and {TRACED_PAIRS} traced "
+            f"pairs of {benchmark['run_seconds']} s runs")
         reports = []
         for name in ([workload] if workload else names):
             runs, traced = _measure(checkouts, benchmark["command"], name,

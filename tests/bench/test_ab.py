@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.ab import PAIRS, evaluate, run_ab
+from repro.bench.ab import PAIRS, TRACED_PAIRS, evaluate, run_ab
 from repro.bench.cli import main
 from repro.util.errors import ReproError
 
@@ -39,10 +39,12 @@ def runs(scale: dict | None = None, jitter=JITTER, **kwargs) -> list[dict]:
             for j in jitter]
 
 
-def traced(scale: dict | None = None) -> dict:
+def traced(scale: dict | None = None) -> list[dict]:
+    """One result per traced pair, every layer at ``0.5 * scale``."""
     scale = scale or {}
-    return result({m["name"]: 0.5 * scale.get(m["name"], 1.0)
-                   for m in BENCHMARK["per_layer"]})
+    return [result({m["name"]: 0.5 * scale.get(m["name"], 1.0)
+                    for m in BENCHMARK["per_layer"]})
+            for _ in range(TRACED_PAIRS)]
 
 
 def verdicts(report) -> dict:
@@ -89,7 +91,28 @@ class TestVerdicts:
         change[3]["correct"] = False
         report = judge(change)
         assert not report.ok
-        assert report.problems == ["change: 1 of 11 runs not correct"]
+        assert report.problems == [
+            f"change: 1 of {PAIRS + TRACED_PAIRS} runs not correct"]
+
+    def test_incorrect_traced_run_fails(self):
+        change_traced = traced()
+        change_traced[-1]["correct"] = False
+        report = judge(runs(), change_traced=change_traced)
+        assert not report.ok
+        assert report.problems == [
+            f"change: 1 of {PAIRS + TRACED_PAIRS} runs not correct"]
+
+    def test_layer_moves_are_medians_of_the_traced_pairs(self):
+        # one outlying traced run moves nothing; a shift in most runs does
+        change_traced = traced()
+        change_traced[0]["metrics"][CSL]["value"] = 5.0
+        report = judge(runs(), change_traced=change_traced)
+        assert all(p == c for _, p, c in report.layers)
+        for run, scale in zip(change_traced, (1.0, 1.5, 1.4)):
+            run["metrics"][CSL]["value"] = 0.5 * scale
+        report = judge(runs(), change_traced=change_traced)
+        assert report.layers[0] == (CSL, 0.5, 0.5 * 1.4)
+        assert all(p == c for _, p, c in report.layers[1:])
 
     def test_parent_spread_wider_than_bound_is_unresolved(self):
         noisy = (0.6, 1.4, 0.7, 1.3, 1.0, 0.65, 1.35, 0.75, 1.25, 1.0)
@@ -166,9 +189,13 @@ def test_loop_snapshots_alternates_parses_and_cleans_up(fake_repo):
     for i in range(PAIRS):
         expected += ["parent", "change"] if i % 2 == 0 else ["change",
                                                             "parent"]
-    assert sides == expected + ["parent", "change"]
+    traced_sides = []
+    for i in range(TRACED_PAIRS):
+        traced_sides += (["parent", "change"] if i % 2 == 0
+                         else ["change", "parent"])
+    assert sides == expected + traced_sides
     assert [c["argv"][c["argv"].index("--trace") + 1] for c in calls] \
-        == ["0"] * 2 * PAIRS + ["1", "1"]
+        == ["0"] * 2 * PAIRS + ["1"] * 2 * TRACED_PAIRS
     assert all(c["argv"][:4] == ["--workload", "w1", "--seconds", "3"]
                for c in calls)
     cwds = {side: {c["cwd"] for c in calls if c["side"] == side}
