@@ -250,24 +250,19 @@ def _run_once(checkout: Path, command: list[str], workload: str,
 
 def _measure(checkouts: dict[str, Path], command: list[str], workload: str,
              seconds: float, log: Callable[[str], None]):
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(PAIRS):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            start = time.perf_counter()
-            runs[side].append(_run_once(checkouts[side], command, workload,
-                                        seconds, trace=0))
-            log(f"[ab] {workload} pair {i + 1}/{PAIRS} {side}: "
-                f"{time.perf_counter() - start:.0f} s")
-    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(TRACED_PAIRS):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
-            traced[side].append(_run_once(checkouts[side], command, workload,
-                                          seconds, trace=1))
-            log(f"[ab] {workload} traced pair {i + 1}/{TRACED_PAIRS} "
-                f"{side} done")
-    return runs, traced
+    def alternate(pairs: int, trace: int) -> dict[str, list[dict]]:
+        results: dict[str, list[dict]] = {side: [] for side in SIDES}
+        kind = "traced pair" if trace else "pair"
+        for i in range(pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                start = time.perf_counter()
+                results[side].append(_run_once(checkouts[side], command,
+                                               workload, seconds, trace))
+                log(f"[ab] {workload} {kind} {i + 1}/{pairs} {side}: "
+                    f"{time.perf_counter() - start:.0f} s")
+        return results
+
+    return alternate(PAIRS, 0), alternate(TRACED_PAIRS, 1)
 
 
 def run_ab(rev: str, workload: str | None = None, repo: str | Path = ".",
