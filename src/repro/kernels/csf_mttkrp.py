@@ -38,8 +38,9 @@ pass holds one or two runs.
 The tree kernel's level sums rest on the same association.  Most B-CSF
 leaf fibers hold one nonzero (97.6-97.9% on the perfbench ``community``
 workload), and ``reduceat`` pays its per-segment cost for each of them.
-A level whose segments are mostly singletons (:data:`TREESUM_MIN_SINGLETONS`)
-is therefore summed in three parts, planned once per nonzero range and
+A level whose segments are almost all singletons (more than
+:data:`TREESUM_MIN_SINGLETONS`, where this pays in one thread) is
+therefore summed in three parts, planned once per nonzero range and
 reused by every rank block: one ``take`` of the segment heads, which is
 the whole sum of a singleton; chained adds ``x0 + (((x1 + x2) + x3) ...)``
 for segments of at most :data:`CHAIN_MAX_LEN`; and one ``reduceat`` over
@@ -82,7 +83,7 @@ from repro.tensor.dense import _check_factors
 from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError, TensorFormatError
 
-__all__ = ["csf_mttkrp", "segment_sum", "segment_sums", "rank_major",
+__all__ = ["csf_mttkrp", "segment_sums", "rank_major",
            "row_major", "DEFAULT_SLAB_ELEMS", "PASS_ROWS", "ROW_PASS_NNZ",
            "CHAIN_MAX_LEN", "SEGSUM_MAX_RUNS", "TREESUM_MIN_SINGLETONS",
            "slab_nnz_for", "row_pass_nnz", "pass_rows", "kernel_passes",
@@ -127,16 +128,22 @@ SEGSUM_MAX_RUNS = 4
 
 #: share of a CSF tree level's segments that must be singletons before
 #: :class:`LevelSum` splits the level's sum instead of making one
-#: ``np.add.reduceat`` call.  Over 4 rank rows ``reduceat`` costs ~35 ns
-#: per segment, and the one ``take`` of segment heads ~8 ns, but a
-#: chained or long segment costs scattered gathers and a scattered write
-#: on top.  Measured on the perfbench B-CSF groups: ``community``'s leaf
-#: levels (97.6-97.9% singletons) sum 2.6-2.8x faster split and its
-#: tree-kernel calls run 0.74-0.77x; ``skewed-par2``'s mode-2 leaf level
-#: (85.8%) is ~15% slower split in one thread, but its 2-thread call runs
-#: 0.78-0.82x (``reduceat`` scales poorly across threads); its mode-0/1
-#: leaf levels (42-46%) are ~30% slower split and stay plain.
-TREESUM_MIN_SINGLETONS = 0.5
+#: ``np.add.reduceat`` call: the serial break-even.  A split level costs
+#: one ``take`` of the segment heads (~8 ns per segment over 4 rank rows,
+#: against ~35 ns per ``reduceat`` segment) plus scattered gathers and a
+#: scattered write for every longer segment.  Timed in one thread on
+#: synthetic levels of a full pass (4 rows x 2^20 nonzeros, and 32 x
+#: 2^17), non-singleton lengths drawn from the perfbench ``skewed-par2``
+#: mode-2 leaf level, split / plain reads 1.31/1.29 at 86% singletons,
+#: 1.12/1.16 at 90%, 0.95/1.08 at 93%, 0.74/0.68 at 96% and 0.59/0.49 at
+#: 98%.  So ``community``'s leaf levels (97.6-97.9%) split and sum in
+#: 0.31-0.34 of the plain time, while ``skewed-par2``'s mode-2 leaf level
+#: (85.8%, 1.05-1.29 split) and its mode-0/1 leaf levels and every shard
+#: range of them (26-52%) stay plain.  The chained sums earn their path:
+#: summing every non-singleton segment of ``community``'s leaf levels by
+#: the interleaved ``reduceat`` instead takes 0.45-0.52 of the plain time,
+#: and its hb-csf calls 0.87-0.93 of plain against 0.81-0.92 chained.
+TREESUM_MIN_SINGLETONS = 0.95
 
 
 def slab_nnz_for(rank: int, slab_nnz: int | None = None) -> int:
@@ -311,19 +318,6 @@ def row_major(factors: list[np.ndarray], dtype=None,
     """
     return [f if m == skip else np.ascontiguousarray(f, dtype=dtype)
             for m, f in enumerate(factors)]
-
-
-def segment_sum(data: np.ndarray, ptr: np.ndarray,
-                validate: bool = True) -> np.ndarray:
-    """Sum the ``(rows, n)`` array ``data`` along its last axis over the
-    segments ``[ptr[s], ptr[s+1])``: one :class:`LevelSum` call, so the
-    result has the bits of ``np.add.reduceat(data, ptr[:-1], axis=-1)``.
-
-    CSF guarantees no empty internal nodes, so every segment must be
-    non-empty; ``validate=False`` skips that scan for pointers a builder
-    produced.
-    """
-    return LevelSum(ptr, validate=validate)(data, Scratch(data.dtype), 0)
 
 
 def segment_sums(acc: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.bcsf import build_bcsf
 from repro.formats import get_format
-from repro.kernels.csf_mttkrp import (CHAIN_MAX_LEN, LevelSum, csf_mttkrp,
-                                      segment_sum)
+from repro.kernels.csf_mttkrp import (CHAIN_MAX_LEN, TREESUM_MIN_SINGLETONS,
+                                      LevelSum, Scratch, csf_mttkrp)
 from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import build_csf
@@ -19,8 +19,13 @@ from repro.util.errors import DimensionError, TensorFormatError
 from tests.conftest import make_factors
 
 
+def segment_sum(data, ptr, validate=True):
+    """One :class:`LevelSum` over the last axis of ``data``."""
+    return LevelSum(ptr, validate=validate)(data, Scratch(data.dtype), 0)
+
+
 class TestSegmentSum:
-    """``segment_sum`` reduces the last axis of an ``(R, n)`` scratch."""
+    """A :class:`LevelSum` reduces the last axis of an ``(R, n)`` scratch."""
 
     def test_basic(self):
         data = np.arange(12.0).reshape(2, 6)
@@ -170,12 +175,13 @@ class TestReduceatSummationOrder:
 
 
 def singleton_fibers(seed: int = 17) -> CooTensor:
-    """Order 3: six slices of mostly one-nonzero fibers, with fibers of
-    2-8 nonzeros, of 9-40 and one of 300 (fbr-split into 128-segments)."""
+    """Order 3: six slices of mostly one-nonzero fibers (96-97%, above
+    :data:`TREESUM_MIN_SINGLETONS`), with fibers of 2-8 nonzeros, of 9-40
+    and one of 300 (fbr-split into 128-segments)."""
     rng = np.random.default_rng(seed)
     rows = []
     for root in range(6):
-        lengths = [1] * 120 + [2, 3, 5, 8, 8, 9, 13, 40]
+        lengths = [1] * 240 + [2, 3, 5, 8, 8, 9, 13, 40]
         if root == 2:
             lengths.append(300)
         for fiber, length in enumerate(rng.permutation(lengths)):
@@ -185,11 +191,11 @@ def singleton_fibers(seed: int = 17) -> CooTensor:
     idx = np.concatenate(rows)
     values = (rng.standard_normal(idx.shape[0])
               * 10.0 ** rng.uniform(-6, 6, idx.shape[0]))
-    return CooTensor(idx, values, (6, 200, 3000))
+    return CooTensor(idx, values, (6, 250, 3000))
 
 
 class TestTreeLevelSums:
-    """A B-CSF group whose leaf level is mostly singletons is summed by
+    """A B-CSF group whose leaf level is almost all singletons is summed by
     the split :class:`LevelSum` path, with the bits of plain ``reduceat``."""
 
     @pytest.fixture
@@ -209,7 +215,8 @@ class TestTreeLevelSums:
                                             dtype):
         bcsf = build_bcsf(singleton_fibers(), 0)
         leaves = np.diff(bcsf.csf.fptr[-1])
-        assert np.mean(leaves == 1) > 0.5 and leaves.max() == 128
+        assert np.mean(leaves == 1) > TREESUM_MIN_SINGLETONS
+        assert leaves.max() == 128
         factors = make_factors(bcsf.shape, 7, seed=3)
         spec = get_format("b-csf")
 
@@ -240,11 +247,12 @@ class TestTreeLevelSums:
         assert split.tobytes() == plain.tobytes()
 
     def test_counts_each_way_per_plan(self):
-        # singletons, chained 2..8, long (9, 20) and a long last segment
-        ptr = np.cumsum([0, 1, 1, 2, 1, 8, 1, 9, 1, 20, 1, 1, 12])
+        # 96 singletons (95.05%), chained 2..8, long (9, 20) and a long
+        # last segment
+        ptr = np.cumsum([0] + [1] * 48 + [2] + [1] * 48 + [8, 9, 20, 12])
         before = counters_snapshot()
         LevelSum(ptr)
-        assert counters_delta(before) == {"kernel.treesum.copied": 7,
+        assert counters_delta(before) == {"kernel.treesum.copied": 96,
                                           "kernel.treesum.chained": 2,
                                           "kernel.treesum.reduceat": 3}
         before = counters_snapshot()

@@ -4,11 +4,12 @@
 Levels are drawn all-singleton, without singletons, as runs of lengths
 around the chained-sum and pairwise-block boundaries (1/2/8/9,
 128/129/1000, so long segments sit next to each other), ragged, with
-singletons interleaved between the drawn segments (so the level takes the
-split path under :data:`TREESUM_MIN_SINGLETONS`), and with a long segment
-last.  Each level is summed under the rule and with the split path
-forced (a negative :data:`TREESUM_MIN_SINGLETONS` splits every level),
-over 1-32 rank rows in float32 and float64.  Values span sixteen decades,
+1-30 singletons interleaved between the drawn segments (30 put every level
+above :data:`TREESUM_MIN_SINGLETONS`, so it takes the split path under
+the rule), and with a long segment last.  Each level is summed under the
+rule and with the split path forced (a negative
+:data:`TREESUM_MIN_SINGLETONS` splits every level), over 1-32 rank rows
+in float32 and float64.  Values span sixteen decades,
 so any other association changes the rounding, and a drawn share of them
 is replaced by ``+-0.0``, ``+-inf`` or NaN.  Every non-NaN result must
 match bit for bit (the sign of zero and of infinity included); NaNs must
@@ -49,7 +50,7 @@ def _with_singletons(drawn: tuple[list[int], int]) -> list[int]:
 
 levels = st.one_of(
     shapes,
-    st.tuples(shapes, st.integers(1, 4)).map(_with_singletons),
+    st.tuples(shapes, st.sampled_from([1, 2, 4, 30])).map(_with_singletons),
     st.tuples(shapes, st.sampled_from([9, 129, 1000])).map(
         lambda drawn: drawn[0] + [drawn[1]]),
 )
