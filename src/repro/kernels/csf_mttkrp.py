@@ -412,7 +412,7 @@ class LevelSum:
             raise TensorFormatError("segment sums require non-empty, monotone segments")
         singles = int(np.count_nonzero(lengths == 1))
         self.split = singles > TREESUM_MIN_SINGLETONS * k
-        self.starts = ptr[:-1].astype(np.intp)
+        self.starts = ptr[:-1].astype(np.intp, copy=False)
         self.steps: list[np.ndarray] = []
         self.chain_ids = self.long_ids = self.bounds = None
         if not self.split:
