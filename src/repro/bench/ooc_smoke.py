@@ -16,16 +16,18 @@
    in-memory path, and require the streamed MTTKRP output to be
    bit-identical (``float64``-view-as-``uint64`` equality, not allclose).
 
-The parent assembles the phase metrics into a
-:class:`~repro.bench.schema.BenchRun` and writes ``BENCH_<name>.json``
-for CI to upload.
+The parent writes the phase metrics to ``BENCH_<name>.json`` (config,
+per-cell seconds and peak RSS, the RSS scope and a few environment
+fields) for CI to upload.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -33,13 +35,11 @@ import time
 
 import numpy as np
 
-from repro.bench.env import capture_environment, cell_peak_rss, reset_peak_rss, utc_now_iso
-from repro.bench.schema import BenchRun, Measurement, save_run
-from repro.bench.targets import bench_factors
 from repro.formats import get_format
 from repro.scenarios.cache import materialize, materialize_sharded
 from repro.tensor.shards import open_sharded
 from repro.scenarios.suites import get_suite
+from repro.util.prng import default_rng
 
 __all__ = ["main"]
 
@@ -66,6 +66,8 @@ DEFAULT_SHARD_NNZ = 6_000_000
 DEFAULT_RLIMIT_MB = 1_280
 DEFAULT_MULTIPLE = 3.0
 MODE = 0
+#: seed of the factor matrices; every phase draws the same ones.
+FACTOR_SEED = 20190520
 
 
 def _spec(nnz: int):
@@ -78,6 +80,63 @@ def _apply_rlimit(mb: int) -> None:
 
     limit = mb * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _factors(shape, rank: int) -> list[np.ndarray]:
+    """Deterministic F-ordered ``(I, rank)`` factors, the CSF tree kernel's
+    rank-major layout, so no kernel times a layout copy of its own."""
+    rng = default_rng(FACTOR_SEED)
+    return [np.asfortranarray(rng.standard_normal((s, rank))) for s in shape]
+
+
+def reset_peak_rss() -> bool:
+    """Reset this process's resident-set high-water mark (``VmHWM``).
+
+    Writing ``5`` to ``/proc/self/clear_refs`` (Linux >= 4.0) is what makes
+    a per-cell peak possible: ``getrusage``'s ``ru_maxrss`` never resets.
+    Returns whether the reset took effect.
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as fh:
+            fh.write("5")
+    except OSError:
+        return False
+    return True
+
+
+def vm_hwm_bytes() -> int | None:
+    """``VmHWM`` (peak RSS since the last reset) in bytes; None without
+    procfs."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def cell_peak_rss(reset_ok: bool) -> tuple[int | None, str]:
+    """Peak RSS since the last :func:`reset_peak_rss` attempt, with its
+    scope.
+
+    ``(bytes, "cell")`` when the reset (``reset_ok``) took and ``VmHWM`` is
+    readable.  Otherwise the cumulative ``getrusage`` high-water mark,
+    ``(bytes, "process")``, which only ever grows across cells, or
+    ``(None, "process")`` without the :mod:`resource` module.
+    """
+    if reset_ok:
+        hwm = vm_hwm_bytes()
+        if hwm is not None:
+            return hwm, "cell"
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - resource is POSIX-only
+        return None, "process"
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return int(maxrss) * (1 if sys.platform == "darwin" else 1024), "process"
 
 
 def _trim_allocator() -> None:
@@ -126,7 +185,7 @@ def _phase_stream(args) -> int:
     rep, build_s, build_rss, _ = _timed_cell(
         f"streaming {args.format} build",
         lambda: fmt.build(sharded, MODE, None, None))
-    factors = bench_factors(sharded.shape, args.rank)
+    factors = _factors(sharded.shape, args.rank)
     out, mttkrp_s, mttkrp_rss, _ = _timed_cell(
         "streaming mttkrp",
         lambda: fmt.mttkrp(rep, factors, MODE))
@@ -154,7 +213,7 @@ def _phase_stream(args) -> int:
             "largest_shard_bytes": largest,
             "generate_seconds": gen_s,
             "generate_rss": gen_rss,
-            "rss_scope": scope,
+            "peak_rss_scope": scope,
             "cells": {name: {"seconds": s, "peak_rss_bytes": rss}
                       for name, (s, rss) in cells.items()},
         }, fh, indent=2)
@@ -176,7 +235,7 @@ def _phase_inmem(args) -> int:
     try:
         tensor = materialize(spec)
         rep = fmt.build(tensor, MODE, None, None)
-        out = fmt.mttkrp(rep, bench_factors(tensor.shape, args.rank), MODE)
+        out = fmt.mttkrp(rep, _factors(tensor.shape, args.rank), MODE)
     except MemoryError:
         print("[ooc-smoke] in-memory path hit MemoryError under the cap "
               "(expected)", flush=True)
@@ -197,20 +256,33 @@ def _run_phase(phase: str, args, work: str) -> int:
     return subprocess.call(cmd)
 
 
-def _measurement(name: str, metrics_doc: dict, rank: int) -> Measurement:
-    cell = metrics_doc["cells"][name]
-    s = cell["seconds"]
-    stats = {"repeats": 1, "warmup": 0, "min": s, "median": s, "p95": s,
-             "max": s, "mean": s, "stddev": 0.0, "total": s, "laps": [s]}
-    metrics = {"num_shards": float(metrics_doc["num_shards"]),
-               "largest_shard_bytes": float(
-                   metrics_doc["largest_shard_bytes"])}
-    if cell["peak_rss_bytes"] is not None:
-        metrics["peak_rss_bytes"] = float(cell["peak_rss_bytes"])
-    return Measurement(
-        target=name, scenario=TIER, spec_hash=metrics_doc["spec_hash"],
-        shape=tuple(metrics_doc["shape"]), nnz=metrics_doc["nnz"],
-        rank=rank, stats=stats, metrics=metrics)
+def _write_artifact(args, metrics_doc: dict) -> str:
+    """Write ``BENCH_<name>.json`` into ``--out-dir``; return its path."""
+    uname = platform.uname()
+    doc = {
+        "name": args.name,
+        "created_at": datetime.datetime.now(datetime.timezone.utc)
+        .replace(microsecond=0).isoformat(),
+        "env": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "os": f"{uname.system} {uname.release}",
+            "machine": uname.machine,
+            "cpu_count": os.cpu_count(),
+        },
+        "config": {"nnz": args.nnz, "shard_nnz": args.shard_nnz,
+                   "rlimit_mb": args.rlimit_mb,
+                   "max_rss_multiple": args.max_rss_multiple,
+                   "rank": args.rank, "format": args.format},
+        "scenario": TIER,
+        **metrics_doc,
+    }
+    os.makedirs(args.out_dir, exist_ok=True)
+    out_path = os.path.join(args.out_dir, f"BENCH_{args.name}.json")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return out_path
 
 
 def _orchestrate(args) -> int:
@@ -235,7 +307,7 @@ def _orchestrate(args) -> int:
         fmt = get_format(args.format)
         tensor = open_sharded(os.path.join(work, "shards")).to_coo()
         rep = fmt.build(tensor, MODE, None, None)
-        want = fmt.mttkrp(rep, bench_factors(tensor.shape, args.rank), MODE)
+        want = fmt.mttkrp(rep, _factors(tensor.shape, args.rank), MODE)
         got = np.load(os.path.join(work, "stream_out.npy"))
         if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
             diff = int(np.count_nonzero(
@@ -249,18 +321,7 @@ def _orchestrate(args) -> int:
         with open(os.path.join(work, "stream_metrics.json")) as fh:
             metrics_doc = json.load(fh)
 
-    run = BenchRun(
-        name=args.name, created_at=utc_now_iso(), env=capture_environment(),
-        config={"nnz": args.nnz, "shard_nnz": args.shard_nnz,
-                "rlimit_mb": args.rlimit_mb,
-                "max_rss_multiple": args.max_rss_multiple,
-                "rank": args.rank, "format": args.format},
-        measurements=[_measurement(name, metrics_doc, args.rank)
-                      for name in sorted(metrics_doc["cells"])])
-    run.env["peak_rss_scope"] = metrics_doc["rss_scope"]
-    os.makedirs(args.out_dir, exist_ok=True)
-    out_path = os.path.join(args.out_dir, f"BENCH_{args.name}.json")
-    save_run(run, out_path)
+    out_path = _write_artifact(args, metrics_doc)
     print(f"[ooc-smoke] wrote {out_path}", flush=True)
     return 0
 

@@ -10,7 +10,7 @@ the :mod:`repro.formats` registry with a CPU kernel, or ``"auto"`` for the
 :mod:`repro.tune` autotuner) and its preprocessing cost are explicit — this
 is exactly the trade-off Figures 9 and 10 analyse.  Because the plan draws
 its representations from the content-addressed build-plan cache, repeated
-solves of the same tensor (rank sweeps, figure drivers, bench laps) pay the
+solves of the same tensor (rank sweeps, figure drivers, benchmark runs) pay the
 format construction once; the reported ``preprocessing_seconds`` remains the
 recorded cost of the original build.
 
@@ -264,9 +264,9 @@ def cp_als(
     iterations = start_iter
 
     # When any watchdog can fire (an explicit budget here, or an ambient
-    # deadline installed by a caller such as the bench runner's cell
-    # timeout), keep a snapshot of the last *committed* iteration so
-    # ``DeadlineExceeded.partial`` never exposes a half-swept factor set.
+    # deadline installed by a caller's ``deadline_scope``), keep a snapshot
+    # of the last *committed* iteration so ``DeadlineExceeded.partial``
+    # never exposes a half-swept factor set.
     # The snapshot shares arrays with the live solve: ``weights`` and each
     # ``factors[m]`` are only ever replaced by fresh arrays (the solve
     # product of their mode update), never written in place, so a shallow

@@ -299,7 +299,6 @@ register_format(FormatSpec(
     cpu_kernel=_csl_kernel,
     gpusim=_csl_gpusim,
     requires_singleton_fibers=True,
-    sim_in_bench=False,
     sharder=_csl_sharder,
 ))
 
@@ -380,7 +379,6 @@ register_format(FormatSpec(
     gpusim=_coo_gpusim,
     per_mode_build=False,
     cpu_supported_orders=(3,),
-    sim_in_bench=False,
 ))
 
 

@@ -18,7 +18,7 @@ builds themselves are amortised away.
 
 The cache is a process-global LRU (:func:`plan_cache`) bounded both by
 entry count and by an approximate payload-byte cap, so sweeping many large
-tensors (a full bench matrix, a dataset-zoo ALS run) evicts old
+tensors (a figure sweep, a dataset-zoo ALS run) evicts old
 representations instead of pinning them for the process lifetime.  Tensors
 are treated as immutable, which :class:`~repro.tensor.coo.CooTensor` (a
 frozen dataclass) already promises.  Mutating a tensor's arrays in place
@@ -170,7 +170,7 @@ class PlanCache:
 
     ``telemetry=True`` (the process-global instance) mirrors every
     hit/miss/eviction into the :mod:`repro.telemetry` counter registry as
-    ``plan_cache.*``, so bench cells and traces see cache behaviour as
+    ``plan_cache.*``, so counter deltas and traces see cache behaviour as
     deltas without touching this object's cumulative totals.
     """
 

@@ -76,8 +76,7 @@ class FormatSpec:
         ``"own"`` for the paper's formats, ``"baseline"`` for the compared
         frameworks.
     description:
-        One-line human-readable summary (shown by ``repro-bench list
-        --formats``).
+        One-line human-readable summary (shown by ``repro-bench list``).
     aliases:
         Accepted alternative spellings; folded through the shared
         normaliser at registration time.
@@ -107,10 +106,6 @@ class FormatSpec:
     cpu_supported_orders:
         Tensor orders the CPU kernel accepts (``None`` = any); ParTI and
         F-COO only support third-order tensors, as in the paper.
-    sim_in_bench:
-        Whether a ``sim.<name>`` benchmark target should be generated
-        (``False`` where it would duplicate another entry's kernel, e.g.
-        ParTI's atomic-COO kernel is ``sim.coo``).
     sharder:
         ``sharder(rep, mode, num_workers) -> ShardPlan`` — cuts a built
         representation into row-disjoint worker shards for the threaded
@@ -132,7 +127,6 @@ class FormatSpec:
     needs_split_config: bool = False
     requires_singleton_fibers: bool = False
     cpu_supported_orders: tuple[int, ...] | None = None
-    sim_in_bench: bool = True
     sharder: Callable | None = None
 
     def __post_init__(self) -> None:

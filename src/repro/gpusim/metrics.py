@@ -99,7 +99,7 @@ def fold_into_counters(result: KernelResult) -> KernelResult:
     """Accumulate one simulation's metrics into the telemetry registry.
 
     Called by the simulator executor for every top-level simulation, so
-    bench cells and traces see simulated work (``gpusim.*`` counters) with
+    counter deltas and traces see simulated work (``gpusim.*`` counters) with
     the same delta accounting as the exact-kernel counters.  Returns the
     result unchanged for call-through convenience.
     """

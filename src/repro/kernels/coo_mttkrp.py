@@ -67,10 +67,10 @@ COO_ACCUMULATE_METHODS = ("auto", "add_at", "sort")
 #: scatter path to the ``"sort"`` segment-sum path.  Below it the stable
 #: argsort costs more than it saves; above it the sequential
 #: ``np.add.reduceat`` writes beat ``np.add.at``'s random-access scatter by
-#: ~1.3-1.4x at the paper's ``R = 32`` (measured on NumPy 2.x with the
-#: ``kernel.coo-scatter`` vs ``kernel.coo-sorted`` bench targets; the
-#: numbers are recorded where CHANGES.md introduces the sort path).  It is
-#: the only rule: no caller above the kernel picks the accumulator.
+#: ~1.3-1.4x at the paper's ``R = 32`` (measured on NumPy 2.x, forcing
+#: each method; the numbers are recorded where CHANGES.md introduces the
+#: sort path).  It is the only rule: no caller above the kernel picks the
+#: accumulator.
 SORT_MIN_NNZ = 2048
 
 

@@ -32,7 +32,7 @@ scheduling math as ``gpusim.schedule_blocks``).  The makespan stays within
 them in the content-addressed plan cache (keyed off the representation's
 own build key plus the worker count), so sharding — like format building —
 is paid once per tensor x mode x config x workers and amortised across ALS
-iterations and bench laps.
+iterations and repeated sweeps.
 """
 
 from __future__ import annotations

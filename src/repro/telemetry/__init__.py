@@ -5,8 +5,8 @@ Two halves:
 * **Counters** (:mod:`repro.telemetry.counters`) are always on — cheap
   accumulators every instrumented layer feeds (``kernel.count``,
   ``plan_cache.hits``, ``gpusim.flops``, ...).  Consumers snapshot before
-  and diff after (:func:`counters_delta`); ``repro-bench`` records those
-  deltas per measurement cell.
+  and diff after (:func:`counters_delta`); ``perfbench`` records the
+  delta of its whole run.
 
 * **Spans** (:mod:`repro.telemetry.tracer`) are off by default and
   near-free while off.  ``REPRO_TRACE=1`` (or ``REPRO_TRACE_FILE=path``,

@@ -2,8 +2,8 @@
 
 Counters are the always-on half of the observability layer: monotonically
 accumulating numbers (call counts, cache hits, stage seconds) that every
-instrumented layer feeds and that :mod:`repro.bench` records as per-cell
-deltas next to wall-clock.  They are deliberately cheap — one lock and one
+instrumented layer feeds and that a caller reads as deltas around the
+work it measures.  They are deliberately cheap — one lock and one
 dict update per increment — so they stay enabled even when span tracing
 (:mod:`repro.telemetry.tracer`) is off.
 
@@ -13,8 +13,8 @@ overwrites the previous value instead of accumulating.
 Consumers measure *deltas*, not absolutes: snapshot before an operation,
 subtract after (:func:`counters_delta`).  That makes concurrent
 instrumentation additive instead of destructive — nothing ever needs to
-reset the registry to measure, so independent measurements (bench cells,
-tests, the traced CI leg) cannot clobber each other.
+reset the registry to measure, so independent measurements (benchmark
+runs, tests, the traced CI leg) cannot clobber each other.
 
 Histograms are the opt-in third metric kind: fixed log-spaced-bucket
 distributions from which p50/p95/p99 are derivable without storing raw

@@ -23,8 +23,8 @@ readable trace — with monotonic ``time.perf_counter`` timestamps shared by
 every thread of the process.
 
 :class:`stage` is the dispatch-layer instrumentation primitive: it always
-feeds the counter registry (``<name>.count`` / ``<name>.seconds``, on
-whose deltas :mod:`repro.bench` builds its stage breakdowns) and
+feeds the counter registry (``<name>.count`` / ``<name>.seconds``, whose
+deltas give per-stage breakdowns) and
 additionally emits a span when tracing is enabled.  Two further opt-ins
 hang off it, both a single attribute check while off:
 
@@ -394,7 +394,7 @@ class stage:
 
     ``with stage("kernel", format=..., mode=...) as sp:`` accumulates
     ``kernel.count`` / ``kernel.seconds`` in the counter registry on every
-    execution (bench stage breakdowns read these deltas) and emits a
+    execution (per-stage breakdowns read these deltas) and emits a
     ``kernel`` span when a tracer is installed.  ``sp`` is the span handle
     (the no-op singleton while disabled), so ``sp.set(...)`` is always
     safe.

@@ -9,7 +9,7 @@ records the winner in a bounded, content-addressed decision cache.
 
 Consumers never call this package directly: pass ``format="auto"`` to
 :func:`repro.core.mttkrp.mttkrp`, :class:`~repro.core.mttkrp.MttkrpPlan` or
-``cp_als``, or ``--format auto`` to ``repro-bench``.
+``cp_als``.
 """
 
 from repro.tune.cache import (

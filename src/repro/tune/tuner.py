@@ -16,9 +16,9 @@ Representations for the probe come from the build-plan cache, so probing
 pays each format's construction at most once per tensor — and the build is
 then already amortised for the production calls that follow the decision.
 
-``format="auto"`` in :func:`repro.core.mttkrp.mttkrp`,
-:class:`~repro.core.mttkrp.MttkrpPlan` (and hence ``cp_als``) and the
-``repro-bench`` CLI routes through this module.
+``format="auto"`` in :func:`repro.core.mttkrp.mttkrp` and
+:class:`~repro.core.mttkrp.MttkrpPlan` (and hence ``cp_als``) routes
+through this module.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ memory, not by the multiplies.  Computing in ``float32`` therefore roughly
 halves the wall-clock time at the price of ~1e-6 relative accuracy — a
 trade-off the caller should make, not the kernel.  This module defines the
 single knob: every public entry point (``mttkrp()``, ``MttkrpPlan``,
-``cp_als``, the format builders, the bench targets) accepts a ``dtype``
+``cp_als``, the format builders) accepts a ``dtype``
 that is resolved here.
 
 ``None`` resolves to the package default (float64, the paper's reference

@@ -1,4 +1,4 @@
-"""Deadline budgets: kernel cooperation, ALS partials, bench timeouts."""
+"""Deadline budgets: kernel cooperation and ALS partials."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bench.runner import BenchConfig, run_benchmarks
 from repro.core.mttkrp import MttkrpPlan
 from repro.cpd.als import cp_als
 from repro.faults import (
@@ -17,6 +16,7 @@ from repro.faults import (
     deadline_scope,
     inject,
 )
+from repro.formats import get_format
 from repro.kernels.csf_mttkrp import csf_mttkrp
 from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.csf import build_csf
@@ -166,45 +166,19 @@ def test_cp_als_deadline_mid_sweep_partial_is_last_committed():
     assert_bit_equal_solves(err.value.partial, ref)
 
 
-def test_bench_cell_timeout_records_status_and_continues():
-    spec = {"generator": "uniform", "shape": [30, 20, 10], "nnz": 2000,
-            "seed": 1}
-    config = BenchConfig(repeats=2, warmup=0, rank=8,
-                         cell_timeout_seconds=1e-9)
-    lines: list[str] = []
-    run = run_benchmarks(["kernel.csf", "kernel.coo", "build.coo"],
-                         [("t", spec)], config, name="tmo",
-                         progress=lines.append)
-    by_target = {m.target: m for m in run.measurements}
-    # every kernel polls the ambient deadline at pass boundaries
-    assert by_target["kernel.coo"].status == "timeout"
-    timed_out = by_target["kernel.csf"]
-    assert timed_out.status == "timeout" and not timed_out.ok
-    assert timed_out.stats["repeats"] == 0
-    assert timed_out.stats["laps"] == []
-    assert timed_out.stats["median"] > 0.0
-    assert timed_out.metrics["timeout_seconds"] == 1e-9
-    # ...and the matrix continued: the COO build (no deadline poll)
-    # completed normally
-    assert by_target["build.coo"].ok
-    assert any("TIMEOUT" in line for line in lines)
-    assert run.config["cell_timeout_seconds"] == 1e-9
-
-
-def test_bench_config_rejects_bad_timeout():
-    with pytest.raises(ValidationError):
-        BenchConfig(cell_timeout_seconds=0.0)
-
-
-def test_timeout_cells_round_trip_and_never_gate():
-    from repro.bench.schema import BenchRun
-
-    spec = {"generator": "uniform", "shape": [30, 20, 10], "nnz": 2000,
-            "seed": 1}
-    slow = run_benchmarks(
-        ["kernel.csf"], [("t", spec)],
-        BenchConfig(repeats=2, warmup=0, rank=8, cell_timeout_seconds=1e-9),
-        name="slow")
-    # schema round trip preserves the status
-    back = BenchRun.from_dict(slow.to_dict())
-    assert back.measurements[0].status == "timeout"
+def test_deadline_scope_stops_kernels_but_not_the_coo_build():
+    tensor = random_coo((30, 20, 10), 2000, default_rng(1))
+    factors = make_factors(tensor.shape, 8)
+    csf = build_csf(tensor, 0)
+    coo = get_format("coo")
+    with deadline_scope(Deadline(1e-9)):
+        # every kernel polls the ambient deadline at pass boundaries
+        for kernel in (lambda: csf_mttkrp(csf, factors),
+                       lambda: coo.mttkrp(tensor, factors, 0)):
+            with pytest.raises(DeadlineExceeded) as err:
+                kernel()
+            assert err.value.where
+            assert err.value.elapsed_seconds > 0.0
+            assert err.value.budget_seconds == 1e-9
+        # the COO build has no deadline poll, so it completes
+        assert coo.build(tensor, 0, None).nnz == tensor.nnz

@@ -1,7 +1,8 @@
 """End-to-end integration tests across the whole stack.
 
-For every synthetic dataset recipe: generate → build formats → exact MTTKRP
-agreement → GPU simulation → baselines → CPD-ALS.  These tests exercise the
+For every synthetic dataset recipe: generate → build every own format →
+exact MTTKRP agreement with the COO reference → GPU simulation → baselines
+→ CPD-ALS.  These tests exercise the
 same code paths the experiment drivers and examples use, on every dataset,
 at a small scale.
 """
@@ -12,11 +13,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.splatt import SplattMttkrp
+from repro.core.hybrid import partition_slices
 from repro.core.mttkrp import MttkrpPlan
 from repro.cpd.als import cp_als
 from repro.cpd.init import init_factors
+from repro.formats import format_names, get_format
 from repro.gpusim.api import simulate_mttkrp
 from repro.kernels.coo_mttkrp import coo_mttkrp
+from repro.tensor.coo import CooTensor
+from repro.tensor.csf import build_csf
 from repro.tensor.datasets import ALL_DATASETS, load_dataset
 from repro.tensor.io import dumps_tns, loads_tns
 
@@ -29,17 +34,30 @@ def dataset(request):
     return request.param, load_dataset(request.param, scale=SCALE)
 
 
+def csl_eligible(tensor: CooTensor) -> CooTensor:
+    """The nonzeros of the mode-0 slices whose fibers are all singletons:
+    the slices CSL can hold (HB-CSF's CSL and COO groups)."""
+    csf = build_csf(tensor, 0)
+    partition = partition_slices(csf)
+    rows = csf.fids[0][partition.coo_mask | partition.csl_mask]
+    keep = np.isin(tensor.indices[:, 0], rows)
+    return CooTensor(tensor.indices[keep], tensor.values[keep], tensor.shape)
+
+
 class TestEndToEnd:
-    def test_formats_agree_and_simulate(self, dataset):
+    @pytest.mark.parametrize("fmt", format_names(kind="own", cpu=True))
+    def test_formats_agree_and_simulate(self, dataset, fmt):
         name, tensor = dataset
+        if get_format(fmt).requires_singleton_fibers:
+            tensor = csl_eligible(tensor)
         factors = init_factors(tensor, RANK, rng=42)
         reference = coo_mttkrp(tensor, factors, 0)
 
-        plan = MttkrpPlan(tensor, format="hb-csf")
+        plan = MttkrpPlan(tensor, format=fmt, modes=(0,))
         got = plan.mttkrp(factors, 0)
         np.testing.assert_allclose(got, reference, rtol=1e-8, atol=1e-8)
 
-        sim = simulate_mttkrp(plan.representation(0), 0, 32, "hb-csf")
+        sim = simulate_mttkrp(plan.representation(0), 0, 32, fmt)
         assert sim.time_seconds > 0
         assert sim.flops > 0
 

@@ -5,11 +5,18 @@ from __future__ import annotations
 import threading
 
 from repro import telemetry
-from repro.formats import build_plan, clear_plan_cache, plan_cache_stats
+from repro.formats import (
+    build_plan,
+    clear_plan_cache,
+    get_format,
+    plan_cache_stats,
+)
 from repro.telemetry.counters import CounterRegistry
 from repro.tensor.random_gen import random_coo
 from repro.tune import clear_decision_cache, decide, decision_cache_stats
 from repro.util.prng import default_rng
+
+from tests.conftest import make_factors
 
 
 def _cache_counters(delta: dict, prefix: str) -> dict:
@@ -101,6 +108,19 @@ class TestPlanCacheCounters:
         delta = telemetry.counters_delta(before)
         assert delta["build.count"] == 2
         assert delta["build.seconds"] > 0
+
+
+class TestKernelStageCounters:
+    def test_one_bcsf_mttkrp_moves_kernel_count_and_seconds(self):
+        tensor = random_coo((12, 10, 8), 200, default_rng(1))
+        fmt = get_format("b-csf")
+        rep = fmt.build(tensor, 0, None)
+        factors = make_factors(tensor.shape, 4)
+        before = telemetry.counters_snapshot()
+        fmt.mttkrp(rep, factors, 0)
+        delta = telemetry.counters_delta(before)
+        assert delta["kernel.count"] == 1
+        assert delta["kernel.seconds"] > 0
 
 
 class TestDecisionCacheCounters:
