@@ -3,20 +3,14 @@
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import numpy as np
 
-import repro
 from repro.bench import ooc_smoke
 
 
-def test_small_run_passes_and_writes_both_cells(tmp_path, monkeypatch, capsys):
-    # the stream phase runs in a subprocess that must import this tree
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+def test_small_run_passes_and_writes_both_cells(tmp_path, capsys):
     code = ooc_smoke.main([
         "--nnz", "20000", "--shard-nnz", "5000", "--skip-inmem-proof",
         "--rlimit-mb", "0", "--max-rss-multiple", "100000",
