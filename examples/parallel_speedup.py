@@ -49,7 +49,8 @@ def main() -> None:
     fmt = sys.argv[1] if len(sys.argv) > 1 else "hb-csf"
     spec = get_format(fmt)
     if not spec.supports_threads:
-        raise SystemExit(f"{fmt} has no threaded backend (no sharder)")
+        raise SystemExit(f"{fmt} has no threaded backend (it declares no "
+                         "kernel units)")
     print(f"format {fmt}, rank {RANK}, mode {MODE}, "
           f"{os.cpu_count()} CPU core(s) visible")
 

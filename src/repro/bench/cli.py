@@ -39,7 +39,7 @@ def _cmd_list(args) -> int:
         rows.append({
             "format": spec.name,
             "kind": spec.kind,
-            "cpu": "yes" if spec.cpu_kernel else "-",
+            "cpu": "yes" if spec.runs_on_cpu else "-",
             "gpusim": "yes" if spec.gpusim else "-",
             "aliases": ", ".join(spec.aliases) or "-",
             "flags": ", ".join(flags) or "-",

@@ -7,8 +7,10 @@ stored in the representation that wastes the least space and work on it:
 2. slices whose fibers are **all singletons**     → CSL;
 3. everything else                                → B-CSF (with fbr-/slc-split).
 
-One MTTKRP call executes the three group kernels and accumulates into the
-same output matrix, exactly as lines 18-20 of Algorithm 5.
+The three groups are the representation's kernel units
+(:meth:`HbcsfTensor.units`): one MTTKRP call runs the three group kernels
+into the same output matrix, exactly as lines 18-20 of Algorithm 5, on
+the executor every own format shares (:mod:`repro.parallel.execute`).
 """
 
 from __future__ import annotations
@@ -20,12 +22,9 @@ import numpy as np
 from repro.core.bcsf import BcsfTensor, build_bcsf
 from repro.core.csl import CslGroup, empty_csl_group, length_order
 from repro.core.splitting import SplitConfig
-from repro.kernels.coo_mttkrp import coo_mttkrp
-from repro.kernels.csf_mttkrp import rank_major, row_major
+from repro.parallel.execute import execute_mttkrp
 from repro.tensor.coo import CooTensor, INDEX_DTYPE, VALUE_DTYPE, csf_mode_ordering
 from repro.tensor.csf import CsfTensor, _CsfAssembler, _level_bounds, _sorted_chunks
-from repro.tensor.dense import _check_factors
-from repro.util.dtypes import resolve_dtype
 from repro.util.errors import DimensionError
 
 __all__ = ["SlicePartition", "HbcsfTensor", "partition_slices", "build_hbcsf"]
@@ -185,47 +184,27 @@ class HbcsfTensor:
     # ------------------------------------------------------------------ #
     # computation / accounting
     # ------------------------------------------------------------------ #
+    def units(self) -> tuple[tuple[str, object], ...]:
+        """The group kernels as ``(kind, group)`` kernel units, in the
+        order of Algorithm 5 (lines 18-20): COO, CSL, then the B-CSF tree."""
+        units = (("coo", self.coo_group), ("csl", self.csl_group))
+        if self.bcsf_group is not None:
+            units += (("csf", self.bcsf_group.csf),)
+        return units
+
     def mttkrp(self, factors: list[np.ndarray],
                out: np.ndarray | None = None,
                dtype=None, validate: bool = True) -> np.ndarray:
-        """Execute the three group kernels (Algorithm 5, lines 18-20).
+        """Run the three group kernels (Algorithm 5, lines 18-20) serially.
 
-        The factor shapes are checked once here; the three group kernels
-        run with ``validate=False`` — their structures were validated at
-        build time and re-scanning the pointers on every call would undo
-        the fast path.  ``validate=False`` skips the shape check too.  The
-        factors are converted once here, not once per group, and only for
-        the groups present: to C-contiguous row tables for the row-major
-        COO and CSL kernels, to the rank-major layout for the B-CSF tree.
-
-        An ``out`` made here is C-ordered: the row kernels add whole rows
-        at roots spread over the output (short CSL slices are stored by
-        length, not by root), 4 cache lines per rank-32 row in C order
-        against 32 in F order, and the tree kernel's rank-row writes were
-        measured no slower into C than into F.  The layout changes no bits.
+        The executor checks the factor shapes once (``validate=False``
+        skips that too; the groups were validated at build time), converts
+        the factors once for the groups present and makes a C-ordered
+        ``out`` (see :func:`~repro.parallel.execute.execute_mttkrp`).
         """
-        if validate:
-            rank = _check_factors(self.shape, factors, self.root_mode)
-        else:
-            rank = factors[self.root_mode].shape[1]
-        rows = self.shape[self.root_mode]
-        if out is None:
-            out = np.zeros((rows, rank), dtype=resolve_dtype(dtype))
-        elif out.shape != (rows, rank):
-            raise DimensionError(f"out has shape {out.shape}, expected {(rows, rank)}")
-        if self.coo_group.nnz or self.csl_group.nnz:
-            tables = row_major(factors, out.dtype, skip=self.root_mode)
-            if self.coo_group.nnz:
-                coo_mttkrp(self.coo_group, tables, self.root_mode, out=out,
-                           validate=False)
-            if self.csl_group.nnz:
-                self.csl_group.mttkrp(tables, out, validate=False)
-            del tables  # free any copies before the tree kernel's scratch
-        if self.bcsf_group is not None and self.bcsf_group.nnz:
-            self.bcsf_group.mttkrp(
-                rank_major(factors, out.dtype, skip=self.root_mode),
-                out=out, validate=False)
-        return out
+        return execute_mttkrp(self.units(), self.shape, factors,
+                              self.root_mode, out, dtype=dtype,
+                              validate=validate)
 
     def index_storage_words(self) -> int:
         """Total 32-bit index words across the three groups (Section V-B)."""

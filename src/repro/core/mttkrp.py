@@ -63,7 +63,7 @@ FORMATS = format_names(kind="own", cpu=True, universal=True)
 def _resolve(format: str):
     """Look up a format and insist on a CPU execution path."""
     spec = get_format(format)
-    if spec.cpu_kernel is None:
+    if not spec.runs_on_cpu:
         raise ValidationError(
             f"format {spec.name!r} has no CPU MTTKRP kernel; choose one of "
             f"{', '.join(format_names(cpu=True))}")

@@ -5,10 +5,12 @@ the four public formats of the evaluation (COO, CSF, B-CSF, HB-CSF), CSL
 (Section V-A — previously only reachable as an HB-CSF group), and the
 baseline frameworks (SPLATT non-tiled/tiled, HiCOO, ParTI, F-COO).
 
-All builder/kernel/simulation callables import their implementation modules
-lazily, so importing :mod:`repro.formats` stays cheap and free of import
-cycles; the implementation modules themselves know nothing about the
-registry.
+The paper's own formats declare their kernel units (``units``), which the
+one executor (:mod:`repro.parallel.execute`) runs on either backend; the
+baselines register a 4-argument ``cpu_kernel``.  All builder/unit/kernel/
+simulation callables import their implementation modules lazily, so
+importing :mod:`repro.formats` stays cheap and free of import cycles; the
+implementation modules themselves know nothing about the registry.
 """
 
 from __future__ import annotations
@@ -45,39 +47,6 @@ def _simulate_kernel_for(workload, device, memory_model):
     return simulate_kernel(workload, device, memory_model)
 
 
-# Threaded-backend sharders (lazy like every other registered callable).
-# Only the paper's own formats get one: the baselines model frameworks whose
-# parallel execution we simulate, not reimplement.
-def _coo_sharder(rep, mode, num_workers):
-    from repro.parallel.partition import shard_coo
-
-    return shard_coo(rep, mode, num_workers)
-
-
-def _csf_sharder(rep, mode, num_workers):
-    from repro.parallel.partition import shard_csf
-
-    return shard_csf(rep, mode, num_workers)
-
-
-def _bcsf_sharder(rep, mode, num_workers):
-    from repro.parallel.partition import shard_bcsf
-
-    return shard_bcsf(rep, mode, num_workers)
-
-
-def _hbcsf_sharder(rep, mode, num_workers):
-    from repro.parallel.partition import shard_hbcsf
-
-    return shard_hbcsf(rep, mode, num_workers)
-
-
-def _csl_sharder(rep, mode, num_workers):
-    from repro.parallel.partition import shard_csl
-
-    return shard_csl(rep, mode, num_workers)
-
-
 # --------------------------------------------------------------------- #
 # coo
 # --------------------------------------------------------------------- #
@@ -95,11 +64,8 @@ def _coo_builder(tensor, mode, config):
     return tensor.sorted_by_modes(_mode_major_order(tensor.order, mode))
 
 
-def _coo_kernel(rep, factors, mode, out, validate=True, dtype=None):
-    from repro.kernels.coo_mttkrp import coo_mttkrp
-
-    return coo_mttkrp(rep, factors, mode, out=out, dtype=dtype,
-                      validate=validate)
+def _coo_units(rep, mode, validate=False):
+    return (("coo", rep),)
 
 
 def _coo_gpusim(tensor, mode, rank, device, launch, config, costs,
@@ -120,10 +86,9 @@ register_format(FormatSpec(
     description="coordinate format; atomic-style accumulation (Algorithm 2)",
     aliases=("coordinate", "coo-atomic"),
     builder=_coo_builder,
-    cpu_kernel=_coo_kernel,
+    units=_coo_units,
     gpusim=_coo_gpusim,
     index_words=lambda rep: rep.order * rep.nnz,
-    sharder=_coo_sharder,
 ))
 
 
@@ -136,10 +101,12 @@ def _csf_builder(tensor, mode, config, dtype=None):
     return cast_values(build_csf(tensor, mode), dtype)
 
 
-def _csf_kernel(rep, factors, mode, out, validate=True, dtype=None):
-    from repro.kernels.csf_mttkrp import csf_mttkrp
+def _csf_units(rep, mode, validate=False):
+    if validate:
+        from repro.kernels.csf_mttkrp import check_tree
 
-    return csf_mttkrp(rep, factors, out=out, dtype=dtype, validate=validate)
+        check_tree(rep)
+    return (("csf", rep),)
 
 
 def _csf_gpusim(tensor, mode, rank, device, launch, config, costs,
@@ -159,9 +126,8 @@ register_format(FormatSpec(
                 "GPU-CSF baseline on the simulator",
     aliases=("gpu-csf",),
     builder=_csf_builder,
-    cpu_kernel=_csf_kernel,
+    units=_csf_units,
     gpusim=_csf_gpusim,
-    sharder=_csf_sharder,
 ))
 
 
@@ -176,8 +142,9 @@ def _bcsf_builder(tensor, mode, config, dtype=None):
     return rep if cast is rep.csf else dataclasses.replace(rep, csf=cast)
 
 
-def _rep_mttkrp_kernel(rep, factors, mode, out, validate=True, dtype=None):
-    return rep.mttkrp(factors, out=out, dtype=dtype, validate=validate)
+def _bcsf_units(rep, mode, validate=False):
+    # the split tree is trusted from its builder: no O(nnz) re-scan
+    return (("csf", rep.csf),)
 
 
 def _bcsf_gpusim(tensor, mode, rank, device, launch, config, costs,
@@ -197,10 +164,9 @@ register_format(FormatSpec(
                 "(Section IV)",
     aliases=("bcsf", "balanced-csf"),
     builder=_bcsf_builder,
-    cpu_kernel=_rep_mttkrp_kernel,
+    units=_bcsf_units,
     gpusim=_bcsf_gpusim,
     needs_split_config=True,
-    sharder=_bcsf_sharder,
 ))
 
 
@@ -244,10 +210,9 @@ register_format(FormatSpec(
                 "(Algorithm 5); the paper's recommended format",
     aliases=("hbcsf", "hybrid"),
     builder=_hbcsf_builder,
-    cpu_kernel=_rep_mttkrp_kernel,
+    units=lambda rep, mode, validate=False: rep.units(),
     gpusim=_hbcsf_gpusim,
     needs_split_config=True,
-    sharder=_hbcsf_sharder,
 ))
 
 
@@ -270,12 +235,13 @@ def _csl_builder(tensor, mode, config, dtype=None):
     return cast_values(group, dtype)
 
 
-def _csl_kernel(rep, factors, mode, out, validate=True, dtype=None):
-    if out is None:
-        rank = factors[mode].shape[1]
-        out = np.zeros((rep.shape[mode], rank), dtype=resolve_dtype(dtype),
-                       order="F")
-    return rep.mttkrp(factors, out, validate=validate)
+def _csl_units(rep, mode, validate=False):
+    if validate:
+        from repro.kernels.csl_mttkrp import check_csl
+
+        check_csl(rep.slice_ptr, rep.slice_inds, rep.rest_indices,
+                  rep.values, rep.mode_order, rep.shape)
+    return (("csl", rep),)
 
 
 def _csl_gpusim(tensor, mode, rank, device, launch, config, costs,
@@ -296,10 +262,9 @@ register_format(FormatSpec(
                 "(Section V-A)",
     aliases=("cs-l", "compressed-slice"),
     builder=_csl_builder,
-    cpu_kernel=_csl_kernel,
+    units=_csl_units,
     gpusim=_csl_gpusim,
     requires_singleton_fibers=True,
-    sharder=_csl_sharder,
 ))
 
 

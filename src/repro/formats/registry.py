@@ -4,9 +4,10 @@ Every sparse format the reproduction knows about — the paper's own family
 (COO, CSF, B-CSF, HB-CSF, CSL) and the baseline frameworks it compares
 against (SPLATT, HiCOO, ParTI, F-COO) — is described by one
 :class:`FormatSpec` and registered here.  Consumers never enumerate format
-names by hand: the public ``mttkrp()`` dispatch, the GPU simulator, the
-benchmark-target registry and the experiment drivers all iterate or look up
-this registry, so adding a format is a one-file, one-registration change.
+names by hand: the public ``mttkrp()`` dispatch, the GPU simulator,
+``repro-bench list``, the autotuner and the experiment drivers all iterate
+or look up this registry, so adding a format is a one-file,
+one-registration change.
 
 A :class:`FormatSpec` bundles
 
@@ -14,7 +15,10 @@ A :class:`FormatSpec` bundles
   replaces the per-module alias dicts that used to live in
   ``core/mttkrp.py`` and ``gpusim/api.py``);
 * a ``builder`` producing the format's representation for one root mode;
-* the exact CPU ``cpu_kernel`` executing MTTKRP on that representation;
+* how MTTKRP runs on that representation: the paper's own formats declare
+  their kernel ``units``, which the one executor
+  (:mod:`repro.parallel.execute`) runs serially or on threads; the
+  baselines register a ``cpu_kernel``;
 * an optional ``gpusim`` hook returning the simulated
   :class:`~repro.gpusim.metrics.KernelResult` for the format's GPU kernel;
 * capability flags (``needs_split_config``, ``per_mode_build``,
@@ -86,8 +90,8 @@ class FormatSpec:
         may ignore ``mode``.
     cpu_kernel:
         ``cpu_kernel(rep, factors, mode, out) -> ndarray`` — the exact
-        MTTKRP.  ``None`` marks a format without a CPU execution path
-        (no such format is currently registered; CI enforces this).
+        MTTKRP of a format without ``units`` (the baselines), called with
+        exactly these four arguments on the serial backend.
     gpusim:
         ``gpusim(tensor, mode, rank, device, launch, config, costs,
         memory_model) -> KernelResult`` or ``None`` for CPU-only formats.
@@ -106,13 +110,17 @@ class FormatSpec:
     cpu_supported_orders:
         Tensor orders the CPU kernel accepts (``None`` = any); ParTI and
         F-COO only support third-order tensors, as in the paper.
-    sharder:
-        ``sharder(rep, mode, num_workers) -> ShardPlan`` — cuts a built
-        representation into row-disjoint worker shards for the threaded
-        execution backend (:mod:`repro.parallel`).  ``None`` means the
-        format executes serially regardless of the requested backend (the
-        baseline frameworks model *their* papers' kernels; parallelising
-        them here would measure our partitioner, not their design).
+    units:
+        ``units(rep, mode, validate=False) -> ((kind, unit_rep), ...)`` —
+        the representation's kernel units in Algorithm 5 order, of kind
+        ``"coo"``, ``"csl"`` or ``"csf"`` (the tree kernel).  With
+        ``validate`` it first raises on a structure the unchecked kernels
+        would misread.  :mod:`repro.parallel.execute` runs the units
+        inline or, cut into row-disjoint shards, on the threaded backend.
+        ``None`` (the baselines) runs ``cpu_kernel`` serially whatever the
+        requested backend: they model *their* papers' kernels, and
+        parallelising them here would measure our partitioner, not their
+        design.
     """
 
     name: str
@@ -127,7 +135,7 @@ class FormatSpec:
     needs_split_config: bool = False
     requires_singleton_fibers: bool = False
     cpu_supported_orders: tuple[int, ...] | None = None
-    sharder: Callable | None = None
+    units: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("own", "baseline"):
@@ -144,9 +152,14 @@ class FormatSpec:
                 and self.cpu_supported_orders is None)
 
     @property
+    def runs_on_cpu(self) -> bool:
+        """Whether the format has an exact CPU MTTKRP."""
+        return self.units is not None or self.cpu_kernel is not None
+
+    @property
     def supports_threads(self) -> bool:
         """Whether the threaded backend can execute this format."""
-        return self.cpu_kernel is not None and self.sharder is not None
+        return self.units is not None
 
     def check_tensor(self, tensor) -> None:
         """Raise when ``tensor`` violates this format's restrictions."""
@@ -164,9 +177,9 @@ class FormatSpec:
         """Build this format's representation (uncached; see :func:`build_plan`).
 
         ``dtype`` selects the compute dtype stored in the representation's
-        value arrays (:mod:`repro.util.dtypes`); builders registered
-        without a ``dtype`` parameter — e.g. by older tests — are called
-        without it and always build float64.
+        value arrays (:mod:`repro.util.dtypes`); builders without a
+        ``dtype`` parameter (COO's mode-major sort, the baselines) are
+        called without it and always build float64.
         """
         if self.builder is None:
             raise ValidationError(f"format {self.name!r} has no builder")
@@ -184,42 +197,40 @@ class FormatSpec:
         :meth:`MttkrpPlan.mttkrp <repro.core.mttkrp.MttkrpPlan.mttkrp>` and
         the autotuner's probes — goes through here.
 
-        ``validate=False`` and ``dtype`` are forwarded only to kernels
-        that declare the corresponding keyword (all built-in kernels do);
-        a minimal 4-argument kernel registered by external code keeps
-        working unchanged.
-
+        A format with ``units`` runs on the one executor
+        (:func:`~repro.parallel.execute.execute_mttkrp`): ``validate``
+        checks the factor shapes and the format's structure once per
+        call, and ``dtype`` is the compute dtype of an output made there.
         ``backend`` / ``num_workers`` select the execution backend
-        (``None`` defers to ``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS``).
-        The threaded backend is bit-identical to serial and silently falls
-        back to serial for formats without a :attr:`sharder` or when only
-        one worker is available.  ``plan_key`` — the representation's
-        build-plan cache key — content-addresses the threaded backend's
-        shard plan next to the build it partitions.
+        (``None`` defers to ``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS``);
+        the threaded backend is bit-identical to serial and runs serially
+        with one worker.  ``plan_key`` — the representation's build-plan
+        cache key — content-addresses the threaded backend's shard plan
+        next to the build it partitions.  A format without units (the
+        baselines) runs its 4-argument ``cpu_kernel`` serially and
+        ignores the other keywords.
         """
-        if self.cpu_kernel is None:
+        if not self.runs_on_cpu:
             raise ValidationError(
                 f"format {self.name!r} has no CPU MTTKRP kernel")
         with stage("kernel", format=self.name, mode=mode) as sp:
-            if (resolve_backend(backend) == "threads"
-                    and self.sharder is not None):
-                workers = resolve_workers(num_workers)
-                if workers > 1:
-                    from repro.parallel.execute import threaded_mttkrp
+            if self.units is None:
+                sp.set(backend="serial")
+                return self.cpu_kernel(rep, factors, mode, out)
+            from repro.parallel.execute import execute_mttkrp
+            from repro.parallel.partition import shard_plan_for
 
-                    sp.set(backend="threads", num_workers=workers)
-                    return threaded_mttkrp(self, rep, factors, mode, out,
-                                           dtype=dtype, validate=validate,
-                                           num_workers=workers,
-                                           plan_key=plan_key)
-            sp.set(backend="serial")
-            extras = {}
-            supported = optional_call_params(self.cpu_kernel)
-            if not validate and "validate" in supported:
-                extras["validate"] = False
-            if dtype is not None and "dtype" in supported:
-                extras["dtype"] = dtype
-            return self.cpu_kernel(rep, factors, mode, out, **extras)
+            workers = (resolve_workers(num_workers)
+                       if resolve_backend(backend) == "threads" else 1)
+            units = self.units(rep, mode, validate)
+            plan = None
+            if workers > 1:
+                sp.set(backend="threads", num_workers=workers)
+                plan = shard_plan_for(self, rep, mode, workers, plan_key)
+            else:
+                sp.set(backend="serial")
+            return execute_mttkrp(units, rep.shape, factors, mode, out,
+                                  dtype=dtype, validate=validate, plan=plan)
 
     def storage_words(self, rep) -> int:
         """32-bit index words of a built representation."""
@@ -230,19 +241,20 @@ class FormatSpec:
 
 @lru_cache(maxsize=256)
 def optional_call_params(fn: Callable) -> frozenset[str]:
-    """Keyword parameters a registered callable accepts beyond the core four.
+    """Keyword parameters a registered builder accepts beyond the core
+    three (only ``dtype`` is looked for).
 
     Inspected once per callable (memoised) so per-call dispatch stays free
     of reflection cost.  Callables whose signature cannot be introspected
-    are treated as accepting every extra (``**kwargs`` wrappers).
+    are treated as accepting it (``**kwargs`` wrappers).
     """
     try:
         params = inspect.signature(fn).parameters
     except (TypeError, ValueError):  # pragma: no cover - builtins/partials
-        return frozenset(("validate", "dtype", "backend", "num_workers"))
+        return frozenset(("dtype",))
     if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
-        return frozenset(("validate", "dtype", "backend", "num_workers"))
-    return frozenset(params) & {"validate", "dtype", "backend", "num_workers"}
+        return frozenset(("dtype",))
+    return frozenset(params) & {"dtype"}
 
 
 _REGISTRY: dict[str, FormatSpec] = {}
@@ -352,7 +364,7 @@ def format_names(
     """
     names = []
     for spec in iter_formats(kind):
-        if cpu and spec.cpu_kernel is None:
+        if cpu and not spec.runs_on_cpu:
             continue
         if gpusim and spec.gpusim is None:
             continue

@@ -87,7 +87,7 @@ __all__ = ["csf_mttkrp", "segment_sums", "rank_major",
            "row_major", "DEFAULT_SLAB_ELEMS", "PASS_ROWS", "ROW_PASS_NNZ",
            "CHAIN_MAX_LEN", "SEGSUM_MAX_RUNS", "TREESUM_MIN_SINGLETONS",
            "slab_nnz_for", "row_pass_nnz", "pass_rows", "kernel_passes",
-           "Scratch", "LevelSum", "check_rows"]
+           "Scratch", "LevelSum", "check_rows", "check_tree"]
 
 #: element budget of one kernel pass: the ``(rows, n)`` or ``(n, R)``
 #: scratch arrays the CSF, CSL and COO kernels materialise hold at most
@@ -186,9 +186,9 @@ def kernel_passes(bounds, rank: int, slab_nnz: int | None = None):
     range-wide arrays once per range.
 
     Pass boundaries are the kernels' fault point and cooperative watchdog:
-    each pass fires ``kernel.slab``, polls the ambient deadline (bench
-    cell timeout, service budget) so a long kernel can be interrupted
-    between passes, and counts one ``kernel.passes``.
+    each pass fires ``kernel.slab``, polls the ambient
+    :func:`~repro.faults.deadline.deadline` so a long kernel can be
+    interrupted between passes, and counts one ``kernel.passes``.
     """
     slab = slab_nnz_for(rank, slab_nnz)
     units = bounds.shape[0] - 1
@@ -292,6 +292,32 @@ def check_rows(idx: np.ndarray, rows: int, what: str) -> None:
         raise DimensionError(f"{what} indexes outside [0, {rows})")
 
 
+def check_tree(csf: CsfTensor) -> None:
+    """Raise unless every non-root level of ``csf`` indexes its mode's
+    factor rows and every tree segment is non-empty: the structure the
+    unchecked tree kernel (``validate=False``) trusts."""
+    for level in range(1, csf.order):
+        check_rows(csf.fids[level], csf.shape[csf.mode_order[level]],
+                   f"CSF level {level}")
+    for ptr in csf.fptr:
+        if ptr.shape[0] > 1 and int(np.diff(ptr).min()) <= 0:
+            raise TensorFormatError(
+                "segment sums require non-empty, monotone segments")
+
+
+def _converted(factors: list[np.ndarray], convert, dtype,
+               skip: int | None) -> list[np.ndarray]:
+    """``convert(f, dtype=dtype)`` of every factor but ``factors[skip]``,
+    counting each one that is a new array in ``kernel.layout_copies``."""
+    tables = []
+    for m, f in enumerate(factors):
+        table = f if m == skip else convert(f, dtype=dtype)
+        if table is not f:
+            counter_add("kernel.layout_copies")
+        tables.append(table)
+    return tables
+
+
 def rank_major(factors: list[np.ndarray], dtype=None,
                skip: int | None = None) -> list[np.ndarray]:
     """``factors`` as F-contiguous ``(I, R)`` arrays (in ``dtype`` if given).
@@ -301,10 +327,10 @@ def rank_major(factors: list[np.ndarray], dtype=None,
     pass through without a copy, so converting once per dispatch makes
     every tree kernel, B-CSF group, shard and pass below it copy-free.
     ``factors[skip]`` (the target mode, which no kernel reads) is passed
-    through untouched.
+    through untouched.  Every factor copied adds one to the counter
+    ``kernel.layout_copies``.
     """
-    return [f if m == skip else np.asfortranarray(f, dtype=dtype)
-            for m, f in enumerate(factors)]
+    return _converted(factors, np.asfortranarray, dtype, skip)
 
 
 def row_major(factors: list[np.ndarray], dtype=None,
@@ -313,11 +339,10 @@ def row_major(factors: list[np.ndarray], dtype=None,
     given), the layout the CSL and COO kernels gather whole rows from.
 
     Like :func:`rank_major`, tables already in that layout and dtype pass
-    through without a copy and ``factors[skip]`` is passed through
-    untouched.
+    through without a copy, ``factors[skip]`` is passed through untouched
+    and every copy counts in ``kernel.layout_copies``.
     """
-    return [f if m == skip else np.ascontiguousarray(f, dtype=dtype)
-            for m, f in enumerate(factors)]
+    return _converted(factors, np.ascontiguousarray, dtype, skip)
 
 
 def segment_sums(acc: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -444,30 +469,32 @@ class LevelSum:
             if count:
                 counter_add(f"kernel.treesum.{name}", count)
 
-    def __call__(self, buf: np.ndarray, scratch: Scratch,
-                 slot: int) -> np.ndarray:
-        """The ``(rows, k)`` segment sums of ``buf``, in buffer ``slot``
-        (the chained and long-segment sums also use slots 3 to 5)."""
-        rows = buf.shape[0]
+    def __call__(self, buf: np.ndarray) -> np.ndarray:
+        """The ``(rows, k)`` segment sums of ``buf``, in a new array.
+
+        A level's sums and temporaries are freed with it, not kept at
+        their largest size for the whole kernel call: held in scratch
+        buffers, they lifted the 10^7-nonzero out-of-core MTTKRP's peak
+        RSS by ~50 MB.  Every index below lies in ``[0, n)``, so the
+        gathers take the unchecked ``clip`` mode."""
         if buf.shape[-1] != self.n:
             raise TensorFormatError(
                 f"pointer array covers {self.n} entries but data has {buf.shape[-1]}")
+        if not self.k:
+            return np.empty((buf.shape[0], 0), dtype=buf.dtype)
         if not self.split:
-            out = scratch._buf(slot, (rows, self.k))
-            if self.k:
-                np.add.reduceat(buf, self.starts, axis=-1, out=out)
-            return out
-        out = scratch.gather(slot, buf, self.starts)
+            return np.add.reduceat(buf, self.starts, axis=-1)
+        out = buf.take(self.starts, axis=1, mode="clip")
         if self.steps:
-            acc = scratch.gather(3, buf, self.steps[0])
+            acc = buf.take(self.steps[0], axis=1, mode="clip")
             for idx in self.steps[1:]:
-                acc[:, :idx.shape[0]] += scratch.gather(4, buf, idx)
-            np.add(scratch.gather(4, out, self.chain_ids), acc, out=acc)
+                acc[:, :idx.shape[0]] += buf.take(idx, axis=1, mode="clip")
+            np.add(out.take(self.chain_ids, axis=1, mode="clip"), acc,
+                   out=acc)
             out[:, self.chain_ids] = acc
         if self.bounds is not None:
-            sums = scratch._buf(5, (rows, self.bounds.shape[0]))
-            np.add.reduceat(buf, self.bounds, axis=-1, out=sums)
-            out[:, self.long_ids] = sums[:, ::2]
+            out[:, self.long_ids] = np.add.reduceat(buf, self.bounds,
+                                                    axis=-1)[:, ::2]
         return out
 
 
@@ -519,9 +546,7 @@ def csf_mttkrp(
         )
     if validate:
         rank = _check_factors(csf.shape, factors, mode)
-        for level in range(1, csf.order):
-            check_rows(csf.fids[level], csf.shape[csf.mode_order[level]],
-                       f"CSF level {level}")
+        check_tree(csf)
     else:
         rank = factors[mode].shape[1]
     rows = csf.shape[mode]
@@ -553,7 +578,7 @@ def csf_mttkrp(
                 fids.append(np.ascontiguousarray(csf.fids[len(sums)][lo:hi],
                                                  dtype=np.intp))
                 seg = ptr[lo:hi + 1]
-                sums.append(LevelSum(seg - seg[0], validate=validate))
+                sums.append(LevelSum(seg - seg[0], validate=False))
                 lo, hi = int(ptr[lo]), int(ptr[hi])
             fids.append(np.ascontiguousarray(csf.fids[-1][lo:hi],
                                              dtype=np.intp))
@@ -580,16 +605,16 @@ def _tree_reduce(values: np.ndarray, fids: list, sums: list,
     buf *= values
 
     # Reduce up the tree, scaling by the factor of each internal level except
-    # the root.  Level sums alternate between slots 1 and 2, so each reads
-    # the previous one's slot, and the leaf slot 0 is free for the gathers.
+    # the root.  Each level sum is a new array, so slot 0 is free for the
+    # gathers once the leaf level is summed.
     for level in range(order - 2, 0, -1):
-        buf = sums[level](buf, scratch, 1 + level % 2)
+        buf = sums[level](buf)
         buf *= scratch.gather(0, tables[mode_order[level]], fids[level])
 
     # Root level: reduce fibers (or sub-trees) into slices and write each
     # slice's row once.  Roots are unique except in an order-2 tree, whose
     # root level is the fiber level fbr-split may repeat.
-    slice_vals = sums[0](buf, scratch, 1)
+    slice_vals = sums[0](buf)
     if order == 2:
         np.add.at(out_t.T, fids[0], slice_vals.T)
     else:

@@ -25,7 +25,32 @@ from repro.kernels.csf_mttkrp import (Scratch, check_rows, kernel_passes,
                                       row_major, row_pass_nnz, segment_sums)
 from repro.util.errors import DimensionError, TensorFormatError
 
-__all__ = ["csl_mttkrp"]
+__all__ = ["csl_mttkrp", "check_csl"]
+
+
+def check_csl(slice_ptr: np.ndarray, slice_inds: np.ndarray,
+              rest_indices: np.ndarray, values: np.ndarray,
+              mode_order: tuple[int, ...], rows) -> None:
+    """Raise on a CSL structure the unchecked kernel (``validate=False``)
+    would misread: pointer and index shapes, slice pointers that do not
+    rise strictly from 0 to nnz, or a non-root index outside its mode's
+    ``rows[m]`` factor rows."""
+    num_slices, nnz = slice_inds.shape[0], values.shape[0]
+    if slice_ptr.shape[0] != num_slices + 1:
+        raise TensorFormatError("slice_ptr must have len(slice_inds) + 1 entries")
+    if rest_indices.shape != (nnz, len(mode_order) - 1):
+        raise DimensionError(
+            f"rest_indices has shape {rest_indices.shape}, expected "
+            f"{(nnz, len(mode_order) - 1)}"
+        )
+    if num_slices == 0 or nnz == 0:
+        return
+    if int(slice_ptr[0]) != 0 or int(slice_ptr[-1]) != nnz:
+        raise TensorFormatError("slice_ptr does not cover all nonzeros")
+    if np.any(np.diff(slice_ptr) <= 0):
+        raise TensorFormatError("slice_ptr must be strictly increasing")
+    for col, m in enumerate(mode_order[1:]):
+        check_rows(rest_indices[:, col], rows[m], f"rest_indices column {col}")
 
 
 def csl_mttkrp(
@@ -63,8 +88,8 @@ def csl_mttkrp(
         ``(shape[root], R)`` output, accumulated into.  Its dtype is the
         compute dtype.
     validate:
-        Skip the structural checks (and the slice-pointer monotonicity
-        scan) when ``False`` — for trusted call sites executing a validated
+        Skip the structural checks (:func:`check_csl`) when ``False`` —
+        for trusted call sites executing a validated
         :class:`~repro.core.csl.CslGroup`.
     slab_nnz:
         Nonzeros per pass (``None``:
@@ -73,31 +98,16 @@ def csl_mttkrp(
         ``reduceat``'s association, so the result is bit-identical to the
         single-pass evaluation.
     """
-    num_slices = slice_inds.shape[0]
-    nnz = values.shape[0]
     if validate:
-        if slice_ptr.shape[0] != num_slices + 1:
-            raise TensorFormatError("slice_ptr must have len(slice_inds) + 1 entries")
-        if rest_indices.shape != (nnz, len(mode_order) - 1):
-            raise DimensionError(
-                f"rest_indices has shape {rest_indices.shape}, expected "
-                f"{(nnz, len(mode_order) - 1)}"
-            )
-    if num_slices == 0 or nnz == 0:
+        check_csl(slice_ptr, slice_inds, rest_indices, values, mode_order,
+                  [len(f) for f in factors])
+    if slice_inds.shape[0] == 0 or values.shape[0] == 0:
         return out
-    if validate and (int(slice_ptr[0]) != 0 or int(slice_ptr[-1]) != nnz):
-        raise TensorFormatError("slice_ptr does not cover all nonzeros")
-    if validate and np.any(np.diff(slice_ptr) <= 0):
-        raise TensorFormatError("slice_ptr must be strictly increasing")
 
     rank = out.shape[1]
     compute_dtype = out.dtype
     vals = values.astype(compute_dtype, copy=False)
     tables = row_major(factors, compute_dtype, skip=mode_order[0])
-    if validate:
-        for col, m in enumerate(mode_order[1:]):
-            check_rows(rest_indices[:, col], tables[m].shape[0],
-                       f"rest_indices column {col}")
     tables = [tables[m] for m in mode_order[1:]]
 
     scratch = Scratch(compute_dtype)

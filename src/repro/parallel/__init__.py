@@ -12,22 +12,25 @@ at module level without a cycle.
 * :mod:`repro.parallel.pool` — backend/worker resolution
   (``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS``) and the process-global
   reusable :class:`~concurrent.futures.ThreadPoolExecutor`.
-* :mod:`repro.parallel.partition` — row-disjoint shard plans per format,
-  cached content-addressed next to the format builds they partition.
-* :mod:`repro.parallel.execute` — runs a shard plan's serial kernels on
-  pool threads, bit-identical to the serial backend.
+* :mod:`repro.parallel.partition` — row-disjoint shard plans of a
+  format's kernel units, cached content-addressed next to the format
+  builds they partition.
+* :mod:`repro.parallel.execute` — the one MTTKRP executor of the paper's
+  own formats: runs their kernel units inline, or a shard plan's shards
+  on pool threads, bit-identical either way.
 
 See ``src/repro/parallel/README.md`` for the partition/reduce contract and
 an honest account of when threads lose.
 """
 
-from repro.parallel.execute import threaded_mttkrp
+from repro.parallel.execute import execute_mttkrp
 from repro.parallel.lpt import lpt_assign, lpt_loads
 from repro.parallel.partition import (
     OVERSUBSCRIPTION,
     Shard,
     ShardPlan,
     shard_plan_for,
+    shard_units,
 )
 from repro.parallel.pool import (
     BACKEND_ENV,
@@ -55,5 +58,6 @@ __all__ = [
     "run_tasks",
     "shutdown_pool",
     "shard_plan_for",
-    "threaded_mttkrp",
+    "shard_units",
+    "execute_mttkrp",
 ]

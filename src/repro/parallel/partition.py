@@ -1,17 +1,20 @@
 """Partitioner: cut a built representation into balanced worker shards.
 
-The partition contract (what makes ``backend="threads"`` bit-identical to
-serial) is that shards are cut **only at output-row boundaries**:
+A format declares its *kernel units* (``FormatSpec.units``): ``(kind,
+rep)`` pairs of kind ``"coo"``, ``"csl"`` or ``"csf"`` (the tree kernel),
+one per Algorithm 5 group.  The partition contract (what makes
+``backend="threads"`` bit-identical to serial) is that each unit is cut
+**only at output-row boundaries**:
 
-* **COO** — the representation is mode-major sorted, so each output row is
-  one contiguous run of nonzeros; chunks are groups of whole runs.
-* **CSF / B-CSF** — shards are contiguous ranges of level-0 slices (whole
-  sub-trees); the level-0 fids are unique, so every output row belongs to
-  exactly one shard.
-* **CSL** — contiguous ranges of slices; ``slice_inds`` are unique.
-* **HB-CSF** — its three groups partition the slices exactly (Algorithm 5),
-  so the union of the groups' shards still touches each output row from
-  exactly one shard.
+* **coo** — the unit is mode-major sorted, so each output row is one
+  contiguous run of nonzeros; chunks are groups of whole runs.
+* **csf** (CSF, the B-CSF tree, HB-CSF's B-CSF group) — shards are
+  contiguous ranges of level-0 slices (whole sub-trees); the level-0 fids
+  are unique, so every output row belongs to exactly one shard.
+* **csl** — contiguous ranges of slices; ``slice_inds`` are unique.
+
+HB-CSF's units partition its slices exactly (Algorithm 5), so the union
+of their shards still touches each output row from exactly one shard.
 
 Because every output row is computed entirely inside one shard, workers
 write **disjoint rows of the shared output** — no private slabs, no
@@ -53,11 +56,7 @@ __all__ = [
     "OVERSUBSCRIPTION",
     "Shard",
     "ShardPlan",
-    "shard_coo",
-    "shard_csf",
-    "shard_bcsf",
-    "shard_csl",
-    "shard_hbcsf",
+    "shard_units",
     "shard_plan_for",
 ]
 
@@ -72,8 +71,8 @@ OVERSUBSCRIPTION = 4
 class Shard:
     """One unit of worker work: a row-disjoint piece of the representation.
 
-    ``kind`` selects the executing kernel (``"coo"`` / ``"csf"`` /
-    ``"csl"``); ``rep`` is the sub-representation (array views into the
+    ``kind`` is the kind of the kernel unit the shard was cut from
+    (``"coo"`` / ``"csf"`` / ``"csl"``); ``rep`` is the sub-unit (array views into the
     parent wherever the formats allow); ``cost`` is the nnz-based load
     estimate LPT balanced.  COO shards carry the accumulation method the
     serial kernel would have chosen for the *full* representation
@@ -168,23 +167,8 @@ def _chunk_bounds(costs: np.ndarray, num_chunks: int) -> np.ndarray:
     return np.unique(np.concatenate(([0], cuts, [n]))).astype(np.int64)
 
 
-def _assemble(format: str, mode: int, num_workers: int,
-              shards: list[Shard], total_nnz: int) -> ShardPlan:
-    costs = np.array([s.cost for s in shards], dtype=np.float64)
-    assignment, loads = lpt_assign(costs, num_workers)
-    return ShardPlan(
-        format=format,
-        mode=int(mode),
-        num_workers=int(num_workers),
-        shards=tuple(shards),
-        assignment=tuple(int(w) for w in assignment),
-        loads=tuple(float(x) for x in loads),
-        total_nnz=int(total_nnz),
-    )
-
-
 # --------------------------------------------------------------------- #
-# per-format shard builders
+# per-kind shard builders
 # --------------------------------------------------------------------- #
 def _coo_shards(rep: CooTensor, mode: int, num_workers: int) -> list[Shard]:
     """Row-run chunks of a mode-major-sorted COO tensor.
@@ -228,7 +212,7 @@ def _csf_subtree(csf: CsfTensor, s0: int, s1: int) -> CsfTensor:
                      csf.values[lo:hi])
 
 
-def _csf_shards(csf: CsfTensor, num_workers: int) -> list[Shard]:
+def _csf_shards(csf: CsfTensor, mode: int, num_workers: int) -> list[Shard]:
     """Contiguous slice-range sub-trees of a CSF tree."""
     if csf.nnz == 0:
         return []
@@ -241,7 +225,7 @@ def _csf_shards(csf: CsfTensor, num_workers: int) -> list[Shard]:
     ]
 
 
-def _csl_shards(group, num_workers: int) -> list[Shard]:
+def _csl_shards(group, mode: int, num_workers: int) -> list[Shard]:
     """Contiguous slice ranges of a CSL group (pointer rebase only)."""
     if group.nnz == 0:
         return []
@@ -262,40 +246,32 @@ def _csl_shards(group, num_workers: int) -> list[Shard]:
     return shards
 
 
-def shard_coo(rep: CooTensor, mode: int, num_workers: int) -> ShardPlan:
-    return _assemble("coo", mode, num_workers,
-                     _coo_shards(rep, mode, num_workers), rep.nnz)
+_UNIT_SHARDS = {"coo": _coo_shards, "csf": _csf_shards, "csl": _csl_shards}
 
 
-def shard_csf(rep: CsfTensor, mode: int, num_workers: int) -> ShardPlan:
-    return _assemble("csf", mode, num_workers,
-                     _csf_shards(rep, num_workers), rep.nnz)
+def shard_units(format: str, units, mode: int, num_workers: int) -> ShardPlan:
+    """Cut every kernel unit into row-disjoint shards and assign them to
+    ``num_workers`` workers by chunk-folded LPT.
 
-
-def shard_bcsf(rep, mode: int, num_workers: int) -> ShardPlan:
-    """B-CSF shards over the fiber-split tree (fbr-split is inherited; the
-    slc-split thread-block binning is a GPU concept the CPU workers replace
-    with LPT over slice-range chunks)."""
-    return _assemble("b-csf", mode, num_workers,
-                     _csf_shards(rep.csf, num_workers), rep.nnz)
-
-
-def shard_csl(rep, mode: int, num_workers: int) -> ShardPlan:
-    return _assemble("csl", mode, num_workers,
-                     _csl_shards(rep, num_workers), rep.nnz)
-
-
-def shard_hbcsf(rep, mode: int, num_workers: int) -> ShardPlan:
-    """Compose the three group partitions (groups have disjoint root rows,
-    so their shards are mutually row-disjoint by construction)."""
+    Units of one representation cover disjoint root rows (HB-CSF's groups
+    partition its slices), so the shards of all units stay mutually
+    row-disjoint.  The slc-split thread-block binning of B-CSF is a GPU
+    concept the CPU workers replace with LPT over slice-range chunks.
+    """
     shards: list[Shard] = []
-    if rep.coo_group.nnz:
-        shards.extend(_coo_shards(rep.coo_group, rep.root_mode, num_workers))
-    if rep.csl_group.nnz:
-        shards.extend(_csl_shards(rep.csl_group, num_workers))
-    if rep.bcsf_group is not None and rep.bcsf_group.nnz:
-        shards.extend(_csf_shards(rep.bcsf_group.csf, num_workers))
-    return _assemble("hb-csf", mode, num_workers, shards, rep.nnz)
+    for kind, rep in units:
+        shards.extend(_UNIT_SHARDS[kind](rep, mode, num_workers))
+    costs = np.array([s.cost for s in shards], dtype=np.float64)
+    assignment, loads = lpt_assign(costs, num_workers)
+    return ShardPlan(
+        format=format,
+        mode=int(mode),
+        num_workers=int(num_workers),
+        shards=tuple(shards),
+        assignment=tuple(int(w) for w in assignment),
+        loads=tuple(float(x) for x in loads),
+        total_nnz=sum(int(rep.nnz) for _, rep in units),
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -309,7 +285,8 @@ _MEMO_LOCK = threading.Lock()
 
 def shard_plan_for(spec, rep, mode: int, num_workers: int,
                    plan_key: tuple | None = None) -> ShardPlan:
-    """Build (or fetch) the shard plan for one representation.
+    """Build (or fetch) the shard plan of one representation's kernel
+    units (``spec.units(rep, mode)``, cut by :func:`shard_units`).
 
     Two cache layers: an object-identity memo (representations served by
     the plan cache keep a stable id, so repeat calls are dict hits), and —
@@ -336,7 +313,8 @@ def shard_plan_for(spec, rep, mode: int, num_workers: int,
 
     if plan is None:
         start = time.perf_counter()
-        plan = spec.sharder(rep, mode, num_workers)
+        plan = shard_units(spec.name, spec.units(rep, mode), mode,
+                           num_workers)
         seconds = time.perf_counter() - start
         if cache_key is not None:
             cache.put(cache_key, plan, seconds)

@@ -129,8 +129,9 @@ def enumerate_candidates(tensor, mode: int,
 
     Every ``kind="own"`` registry entry with a CPU kernel that can
     represent the tensor participates, once per entry of ``backends``
-    (serial first), with ``"threads"`` kept only for formats that have a
-    sharder.
+    (serial first), with ``"threads"`` kept only for formats that declare
+    kernel units (:attr:`FormatSpec.supports_threads
+    <repro.formats.registry.FormatSpec.supports_threads>`).
     """
     candidates: list[Candidate] = []
     for name in format_names(kind="own", cpu=True):

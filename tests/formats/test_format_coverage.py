@@ -13,7 +13,7 @@ from tests.formats.test_format_equivalence import EQUIVALENCE_FORMATS
 
 def test_every_format_has_cpu_kernel():
     missing = [name for name in format_names()
-               if get_format(name).cpu_kernel is None]
+               if not get_format(name).runs_on_cpu]
     assert not missing, (
         f"formats without an exact CPU MTTKRP kernel: {missing}; every "
         "registry entry must be executable (and equivalence-testable) on "

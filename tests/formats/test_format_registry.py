@@ -36,7 +36,7 @@ class TestLookup:
         for name in format_names():
             spec = get_format(name)
             assert spec.builder is not None, name
-            assert spec.cpu_kernel is not None, name
+            assert spec.runs_on_cpu, name
 
     def test_legacy_formats_tuple_is_registry_view(self):
         # backwards-compatible FORMATS: the unrestricted own formats

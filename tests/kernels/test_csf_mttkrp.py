@@ -10,7 +10,7 @@ import pytest
 from repro.core.bcsf import build_bcsf
 from repro.formats import get_format
 from repro.kernels.csf_mttkrp import (CHAIN_MAX_LEN, TREESUM_MIN_SINGLETONS,
-                                      LevelSum, Scratch, csf_mttkrp)
+                                      LevelSum, csf_mttkrp)
 from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor
 from repro.tensor.csf import build_csf
@@ -21,7 +21,7 @@ from tests.conftest import make_factors
 
 def segment_sum(data, ptr, validate=True):
     """One :class:`LevelSum` over the last axis of ``data``."""
-    return LevelSum(ptr, validate=validate)(data, Scratch(data.dtype), 0)
+    return LevelSum(ptr, validate=validate)(data)
 
 
 class TestSegmentSum:

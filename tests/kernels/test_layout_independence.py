@@ -16,8 +16,9 @@ import repro
 from repro.cpd.als import cp_als
 from repro.cpd.checkpoint import load_checkpoint, save_checkpoint
 from repro.faults import inject
-from repro.formats import format_names
+from repro.formats import build_plan, format_names, get_format
 from repro.kernels.coo_mttkrp import coo_mttkrp
+from repro.telemetry import counters_delta, counters_snapshot
 from repro.tensor.coo import CooTensor
 from repro.tensor.random_gen import random_coo
 from repro.util.errors import FaultInjected
@@ -36,6 +37,20 @@ def singleton_fiber_tensor() -> CooTensor:
     rng = default_rng(8)
     idx = np.stack([rng.permutation(20) for _ in range(3)], axis=1)
     return CooTensor(idx, rng.standard_normal(20), (20, 20, 20))
+
+
+def three_group_tensor() -> CooTensor:
+    """Root slices 0-9 for the B-CSF group, 10-19 of three singleton
+    fibers each for CSL and 20-29 of one nonzero each for COO."""
+    rng = default_rng(4)
+    dense = random_coo((10, 12, 10), 400, rng).indices
+    csl = np.stack([np.repeat(np.arange(10, 20), 3),
+                    np.tile([0, 4, 8], 10),
+                    rng.integers(0, 10, size=30)], axis=1)
+    coo = np.stack([np.arange(20, 30), rng.integers(0, 12, size=10),
+                    rng.integers(0, 10, size=10)], axis=1)
+    idx = np.concatenate([dense, csl, coo])
+    return CooTensor(idx, rng.standard_normal(idx.shape[0]), (30, 12, 10))
 
 
 def factors_in(layout: str, shape) -> list[np.ndarray]:
@@ -132,3 +147,18 @@ def test_checkpoint_resume_bit_identical_for_either_layout(tmp_path, stored):
     for a, b in zip(resumed.factors, ref.factors):
         assert a.flags.f_contiguous
         assert bits(a) == bits(b)
+
+
+@pytest.mark.parametrize("workers", [pytest.param(1, id="serial"), 2, 4])
+def test_hbcsf_converts_each_layout_once(workers):
+    """One hb-csf call over all three groups copies exactly the two
+    gathered row tables of F-ordered factors, serial or threaded: F is the
+    tree kernel's layout already, and no group or shard converts again."""
+    tensor = three_group_tensor()
+    rep = build_plan(tensor, "hb-csf", 0).rep
+    assert all(rep.group_nnz().values())
+    factors = factors_in("F", tensor.shape)
+    before = counters_snapshot()
+    get_format("hb-csf").mttkrp(rep, factors, 0, backend="threads",
+                                num_workers=workers)
+    assert counters_delta(before).get("kernel.layout_copies") == 2

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.formats import build_plan, get_format, plan_cache
-from repro.parallel.partition import OVERSUBSCRIPTION, shard_plan_for
+from repro.parallel.partition import (OVERSUBSCRIPTION, shard_plan_for,
+                                      shard_units)
 
 from tests.parallel.conftest import singleton_fiber_tensor
 
@@ -16,18 +17,20 @@ WORKER_COUNTS = (2, 4)
 def _plans(name, tensor, mode, workers):
     spec = get_format(name)
     built = build_plan(tensor, name, mode)
-    return spec, built, spec.sharder(built.rep, mode, workers)
+    return spec, built, shard_units(name, spec.units(built.rep, mode), mode,
+                                    workers)
 
 
-def _touched_rows(shard, mode):
-    """The output rows a shard writes, read structurally from its rep."""
-    if shard.kind == "coo":
-        return np.unique(shard.rep.indices[:, mode])
-    if shard.kind == "csf":
-        return np.unique(shard.rep.fids[0])
-    if shard.kind == "csl":
-        return np.unique(shard.rep.slice_inds)
-    raise AssertionError(f"unknown shard kind {shard.kind!r}")
+def _touched_rows(kind, rep, mode):
+    """The output rows a unit or shard writes, read structurally from its
+    rep."""
+    if kind == "coo":
+        return np.unique(rep.indices[:, mode])
+    if kind == "csf":
+        return np.unique(rep.fids[0])
+    if kind == "csl":
+        return np.unique(rep.slice_inds)
+    raise AssertionError(f"unknown unit kind {kind!r}")
 
 
 def _shard_nnz(shard):
@@ -36,33 +39,53 @@ def _shard_nnz(shard):
     return shard.rep.values.shape[0]
 
 
+def _linear(tensor):
+    """Sorted linear positions of a tensor's (or piece's) nonzeros."""
+    return np.sort(np.ravel_multi_index(tensor.indices.T, tensor.shape))
+
+
 @pytest.mark.parametrize("name", ["coo", "csf", "b-csf", "hb-csf", "csl"])
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("workers", ("serial",) + WORKER_COUNTS)
 def test_partition_invariants(name, workers, skewed3d):
+    """The serial kernel units and every shard plan of them are a
+    row-disjoint cover of the nonzeros."""
     tensor = singleton_fiber_tensor() if name == "csl" else skewed3d
     mode = 0
-    spec, built, plan = _plans(name, tensor, mode, workers)
+    spec = get_format(name)
+    units = spec.units(build_plan(tensor, name, mode).rep, mode)
+    if workers == "serial":
+        pieces = [(kind, rep) for kind, rep in units if rep.nnz]
+    else:
+        plan = shard_units(name, units, mode, workers)
+        pieces = [(shard.kind, shard.rep) for shard in plan.shards]
+
+    # the pieces cover every nonzero exactly once
+    covered = np.concatenate([rep.indices if kind == "coo"
+                              else rep.to_coo().indices
+                              for kind, rep in pieces])
+    assert np.array_equal(
+        np.sort(np.ravel_multi_index(covered.T, tensor.shape)),
+        _linear(tensor))
+
+    # output rows are pairwise disjoint across pieces and cover exactly
+    # the rows the serial kernel writes — the bit-identity precondition
+    seen = np.empty(0, dtype=np.int64)
+    for kind, rep in pieces:
+        rows = _touched_rows(kind, rep, mode)
+        assert not np.intersect1d(seen, rows).size
+        seen = np.concatenate((seen, rows))
+    assert np.array_equal(np.sort(seen),
+                          np.unique(tensor.indices[:, mode]))
+    if workers == "serial":
+        return
 
     # identity of the plan cell
     assert plan.format == name
     assert plan.mode == mode
     assert plan.num_workers == workers
     assert plan.total_nnz == tensor.nnz
-
-    # the shards cover every nonzero exactly once
     assert sum(_shard_nnz(s) for s in plan.shards) == tensor.nnz
     assert np.isclose(sum(s.cost for s in plan.shards), tensor.nnz)
-
-    # output rows are pairwise disjoint across shards and cover exactly
-    # the rows the serial kernel writes — the bit-identity precondition
-    seen = np.empty(0, dtype=np.int64)
-    for shard in plan.shards:
-        rows = _touched_rows(shard, mode)
-        assert rows.size == np.unique(rows).size
-        assert not np.intersect1d(seen, rows).size
-        seen = np.concatenate((seen, rows))
-    assert np.array_equal(np.sort(seen),
-                          np.unique(tensor.indices[:, mode]))
 
     # the LPT schedule is consistent and balanced
     assert len(plan.assignment) == plan.num_shards

@@ -9,13 +9,16 @@ counts.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.mttkrp import MttkrpPlan, mttkrp
 from repro.cpd.als import cp_als
 from repro.formats import build_plan, format_names, get_format
-from repro.util.errors import ValidationError
+from repro.tensor.csf import CsfTensor
+from repro.util.errors import DimensionError, ValidationError
 from repro.util.prng import default_rng
 
 from tests.conftest import make_factors
@@ -136,3 +139,26 @@ def test_out_accumulation_matches_serial(skewed3d):
     threaded = spec.mttkrp(built.rep, factors, 0, out=base.copy(),
                            backend="threads", num_workers=2)
     assert np.array_equal(serial, threaded)
+
+
+@pytest.mark.parametrize("fmt", ["csf", "csl"])
+@pytest.mark.parametrize("backend", ["serial", "threads"])
+def test_validate_checks_structure_on_both_backends(fmt, backend, skewed3d):
+    """``validate=True`` rejects an index outside its factor on either
+    backend: the structure is checked once on the whole representation,
+    before any shard runs unchecked (the kernels' gathers clip)."""
+    tensor = singleton_fiber_tensor() if fmt == "csl" else skewed3d
+    rep = build_plan(tensor, fmt, 0).rep
+    if fmt == "csf":
+        fids = [f.copy() for f in rep.fids]
+        fids[-1][0] = 10 ** 6
+        bad = CsfTensor(rep.shape, rep.mode_order, rep.fptr, fids,
+                        rep.values)
+    else:
+        rest = rep.rest_indices.copy()
+        rest[0, -1] = 10 ** 6
+        bad = dataclasses.replace(rep, rest_indices=rest)
+    factors = make_factors(tensor.shape, 8, seed=3)
+    with pytest.raises(DimensionError, match="indexes outside"):
+        get_format(fmt).mttkrp(bad, factors, 0, backend=backend,
+                               num_workers=2)

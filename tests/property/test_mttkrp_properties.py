@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mttkrp import FORMATS, mttkrp
 from repro.core.splitting import SplitConfig
 from repro.kernels.coo_mttkrp import coo_mttkrp
-from repro.kernels.csf_mttkrp import LevelSum, Scratch, csf_mttkrp
+from repro.kernels.csf_mttkrp import LevelSum, csf_mttkrp
 from repro.kernels.khatri_rao import khatri_rao
 from repro.tensor.csf import build_csf
 from repro.tensor.dense import einsum_mttkrp
@@ -89,7 +89,7 @@ class TestSegmentSumAndKhatriRao:
         rng = np.random.default_rng(seed)
         ptr = np.concatenate([[0], np.cumsum(seg_sizes)])
         data = rng.standard_normal((width, int(ptr[-1])))
-        got = LevelSum(ptr)(data, Scratch(data.dtype), 0)
+        got = LevelSum(ptr)(data)
         want = np.stack([data[:, ptr[i]:ptr[i + 1]].sum(axis=1)
                          for i in range(len(seg_sizes))], axis=1)
         assert got.shape == (width, len(seg_sizes))

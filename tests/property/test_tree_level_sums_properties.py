@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.kernels.csf_mttkrp import LevelSum, Scratch
+from repro.kernels.csf_mttkrp import LevelSum
 
 KERNEL = importlib.import_module("repro.kernels.csf_mttkrp")
 
@@ -77,7 +77,7 @@ def test_matches_reduceat_bit_for_bit(lengths, dtype, rows, special_share,
         for share in (KERNEL.TREESUM_MIN_SINGLETONS, -1.0):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(KERNEL, "TREESUM_MIN_SINGLETONS", share)
-                got = LevelSum(ptr)(buf, Scratch(dtype), 1)
+                got = LevelSum(ptr)(buf)
 
             assert got.shape == want.shape and got.dtype == want.dtype
             nan = np.isnan(want)

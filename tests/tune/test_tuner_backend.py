@@ -94,11 +94,10 @@ def test_threads_decision_timings_cover_both_backends(medium3d):
     assert {c.label for c in grid} == probed
 
 
-def test_plan_per_call_backend_overrides_pinned_decision(medium3d, monkeypatch):
+def test_plan_per_call_backend_overrides_pinned_decision(medium3d):
     """An explicit per-call backend beats a decision's pinned threads."""
-    import repro.parallel.execute as par_execute
-
     from repro.core.mttkrp import MttkrpPlan
+    from repro.telemetry import counters_snapshot
 
     grid = enumerate_candidates(medium3d, 0, backends=("serial", "threads"))
     table = {c.label: (0.1 if c.label == "b-csf+threads" else 1.0)
@@ -110,19 +109,18 @@ def test_plan_per_call_backend_overrides_pinned_decision(medium3d, monkeypatch):
     assert plan.decisions[0].backend == "threads"
 
     factors = make_factors(medium3d.shape, 8, seed=11)
-    calls = []
-    real = par_execute.threaded_mttkrp
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def dispatches():
+        return counters_snapshot().get("parallel.dispatches", 0)
 
-    monkeypatch.setattr(par_execute, "threaded_mttkrp", counting)
+    before = dispatches()
     pinned = plan.mttkrp(factors, 0)
-    assert calls, "the pinned threads decision should execute by default"
-    calls.clear()
+    assert dispatches() > before, (
+        "the pinned threads decision should execute by default")
+    before = dispatches()
     overridden = plan.mttkrp(factors, 0, backend="serial")
-    assert not calls, "backend='serial' per call must bypass the pin"
+    assert dispatches() == before, (
+        "backend='serial' per call must bypass the pin")
     assert np.array_equal(pinned, overridden)
 
 
