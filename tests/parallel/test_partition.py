@@ -39,9 +39,9 @@ def _shard_nnz(shard):
     return shard.rep.values.shape[0]
 
 
-def _linear(tensor):
-    """Sorted linear positions of a tensor's (or piece's) nonzeros."""
-    return np.sort(np.ravel_multi_index(tensor.indices.T, tensor.shape))
+def _linear(indices, shape):
+    """Sorted linear positions of a list of nonzero coordinates."""
+    return np.sort(np.ravel_multi_index(indices.T, shape))
 
 
 @pytest.mark.parametrize("name", ["coo", "csf", "b-csf", "hb-csf", "csl"])
@@ -63,9 +63,8 @@ def test_partition_invariants(name, workers, skewed3d):
     covered = np.concatenate([rep.indices if kind == "coo"
                               else rep.to_coo().indices
                               for kind, rep in pieces])
-    assert np.array_equal(
-        np.sort(np.ravel_multi_index(covered.T, tensor.shape)),
-        _linear(tensor))
+    assert np.array_equal(_linear(covered, tensor.shape),
+                          _linear(tensor.indices, tensor.shape))
 
     # output rows are pairwise disjoint across pieces and cover exactly
     # the rows the serial kernel writes — the bit-identity precondition
